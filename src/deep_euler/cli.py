@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Every subcommand writes deterministic CSV artifacts plus a manifest.json
-that fully determines the run, so repeating a command with the same
-manifest reproduces its outputs byte for byte.
+that records the run's configuration, so repeating a command with the same
+manifest, numpy/BLAS build and BLAS thread count reproduces its outputs byte
+for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 dimension/shape error,
 4 numerical failure.
@@ -681,7 +682,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UnknownProblem, ModelFormatError, TooFewPoints, EmptyDataset) as err:
+    # ValueError: an argument argparse accepts but the library rejects, such
+    # as a step size or interval out of range. OSError: an unreadable file.
+    except (ConfigError, UnknownProblem, ModelFormatError, TooFewPoints, EmptyDataset,
+            ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return _CONFIG_EXIT
     except (CorrectorShapeError, OrderMismatch, InvalidArchitecture, InvalidInput, EmptyBatch) as err:

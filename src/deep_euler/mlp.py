@@ -2,8 +2,9 @@
 
 The network maps (x_i, x_j, y_i) to a truncation-error estimate, so the
 input width is always n+2 and the output width n for an n-dimensional
-problem. Training minimizes mean absolute error with Adam; everything is
-float64 and deterministic for a fixed seed.
+problem. Training minimizes mean absolute error with Adam on one flat vector
+of all weights and biases (FlatLayers), which the gradient and both moments
+share; everything is float64 and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
 
 _MAGIC = b"FCN1"
 _FORMAT_VERSION = 1
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8  # Adam defaults of Kingma & Ba
 
 
 @dataclass(frozen=True)
@@ -63,31 +65,42 @@ class MlpParams:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
 
-@dataclass(frozen=True)
-class Gradients:
-    """Same shapes as the parameters they differentiate."""
+class FlatLayers:
+    """Per-layer weight and bias views into one contiguous float64 vector, in
+    checkpoint payload order: each layer's row-major weights, then its bias."""
 
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class AdamState:
-    first_weights: tuple[np.ndarray, ...]
-    first_biases: tuple[np.ndarray, ...]
-    second_weights: tuple[np.ndarray, ...]
-    second_biases: tuple[np.ndarray, ...]
-    step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    def __init__(self, layer_widths: Sequence[int], data: Optional[np.ndarray] = None):
+        self.layer_widths = tuple(int(w) for w in layer_widths)
+        shapes = list(zip(self.layer_widths[1:], self.layer_widths[:-1]))
+        sizes = [n for rows, cols in shapes for n in (rows * cols, rows)]
+        self.data = np.zeros(sum(sizes)) if data is None else data
+        ends = np.cumsum(sizes).tolist()
+        chunks = [self.data[end - size : end] for size, end in zip(sizes, ends)]
+        self.weights = tuple(w.reshape(shape) for w, shape in zip(chunks[0::2], shapes))
+        self.biases = tuple(chunks[1::2])
 
     @classmethod
-    def initial(cls, params: MlpParams) -> "AdamState":
-        zw = tuple(np.zeros_like(w) for w in params.weights)
-        zb = tuple(np.zeros_like(b) for b in params.biases)
-        return cls(zw, zb, tuple(np.zeros_like(w) for w in params.weights),
-                   tuple(np.zeros_like(b) for b in params.biases))
+    def of(cls, params: MlpParams) -> FlatLayers:
+        parts = [a.ravel() for wb in zip(params.weights, params.biases) for a in wb]
+        return cls(params.layer_widths, np.concatenate(parts))
+
+
+class Workspace:
+    """loss_and_grad buffers for batches of up to batch_size rows, reused
+    across calls: each layer's output, and the flat gradient."""
+
+    def __init__(self, layer_widths: Sequence[int], batch_size: int):
+        self.grad = FlatLayers(layer_widths)
+        self.outputs = [np.empty((batch_size, w)) for w in self.grad.layer_widths[1:]]
+
+
+class AdamState:
+    """Adam moments in the flat parameter layout, plus scratch; adam_step updates them in place."""
+
+    def __init__(self, size: int):
+        self.first, self.second = np.zeros(size), np.zeros(size)
+        self.scratch = (np.empty(size), np.empty(size))
+        self.step_count = 0
 
 
 @dataclass(frozen=True)
@@ -152,11 +165,15 @@ def forward_batch(params: MlpParams, xs) -> np.ndarray:
     return a @ params.weights[-1].T + params.biases[-1]
 
 
-def loss_and_grad(params: MlpParams, inputs, targets) -> tuple[float, Gradients]:
+def loss_and_grad(
+    params, inputs, targets, work: Optional[Workspace] = None
+) -> tuple[float, FlatLayers]:
     """Mean absolute error over the batch and its exact subgradients.
 
     Loss is the component sum of |output - target| averaged over samples.
     Subgradients at the ReLU kink and the L1 kink are both taken as 0.
+    ``params`` is an MlpParams or a FlatLayers. The gradient lives in ``work``
+    (fresh when omitted), so the next call with that workspace overwrites it.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
@@ -165,74 +182,64 @@ def loss_and_grad(params: MlpParams, inputs, targets) -> tuple[float, Gradients]
     if x.shape[0] != y.shape[0]:
         raise ValueError("inputs and targets disagree on batch size")
     batch = x.shape[0]
+    if work is None:
+        work = Workspace(params.layer_widths, batch)
 
-    activations = [x]
-    pre_acts = []
+    outputs = [buf[:batch] for buf in work.outputs]
+    last = len(outputs) - 1
     a = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = a @ w.T + b
-        pre_acts.append(z)
-        a = np.maximum(z, 0.0)
-        activations.append(a)
-    out = a @ params.weights[-1].T + params.biases[-1]
+    for k, (w, b, z) in enumerate(zip(params.weights, params.biases, outputs)):
+        np.matmul(a, w.T, out=z)
+        z += b
+        if k < last:
+            np.maximum(z, 0.0, out=z)
+        a = z
 
-    diff = out - y
-    loss = float(np.sum(np.abs(diff)) / batch)
+    diff = np.subtract(a, y, out=a)
+    loss = float(np.add.reduce(np.abs(diff), axis=None) / batch)
 
-    delta = np.sign(diff) / batch
-    grad_w = [None] * params.num_layers
-    grad_b = [None] * params.num_layers
-    grad_w[-1] = delta.T @ activations[-1]
-    grad_b[-1] = delta.sum(axis=0)
-    upstream = delta @ params.weights[-1]
-    for k in range(params.num_layers - 2, -1, -1):
-        dz = upstream * (pre_acts[k] > 0.0)
-        grad_w[k] = dz.T @ activations[k]
-        grad_b[k] = dz.sum(axis=0)
-        if k > 0:
-            upstream = dz @ params.weights[k]
-    return loss, Gradients(tuple(grad_w), tuple(grad_b))
+    dz = np.sign(diff, out=diff)
+    dz /= batch
+    grad = work.grad
+    for k in range(last, -1, -1):
+        a_in = outputs[k - 1] if k else x
+        np.matmul(dz.T, a_in, out=grad.weights[k])
+        np.add.reduce(dz, axis=0, out=grad.biases[k])  # np.sum without its Python wrapper
+        if k:
+            # ReLU outputs are positive where pre-activations are, so a_in may be overwritten.
+            active = a_in > 0.0
+            dz = np.matmul(dz, params.weights[k], out=a_in)
+            dz *= active
+    return loss, grad
 
 
-def adam_step(
-    params: MlpParams,
-    grads: Gradients,
-    state: AdamState,
-    learning_rate: float,
-) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
-    for g in (*grads.weights, *grads.biases):
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient("gradient contains NaN or infinity")
-    t = state.step_count + 1
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, learning_rate: float) -> None:
+    """One bias-corrected Adam update of the flat vector theta, in place.
 
-    def update(p, g, m, v):
-        m_new = state.beta1 * m + (1.0 - state.beta1) * g
-        v_new = state.beta2 * v + (1.0 - state.beta2) * g * g
-        step = learning_rate * (m_new / c1) / (np.sqrt(v_new / c2) + state.epsilon)
-        return p - step, m_new, v_new
-
-    new_w, new_mw, new_vw = [], [], []
-    for p, g, m, v in zip(params.weights, grads.weights, state.first_weights, state.second_weights):
-        p2, m2, v2 = update(p, g, m, v)
-        new_w.append(p2)
-        new_mw.append(m2)
-        new_vw.append(v2)
-    new_b, new_mb, new_vb = [], [], []
-    for p, g, m, v in zip(params.biases, grads.biases, state.first_biases, state.second_biases):
-        p2, m2, v2 = update(p, g, m, v)
-        new_b.append(p2)
-        new_mb.append(m2)
-        new_vb.append(v2)
-
-    new_params = MlpParams(params.layer_widths, tuple(new_w), tuple(new_b))
-    new_state = AdamState(
-        tuple(new_mw), tuple(new_mb), tuple(new_vw), tuple(new_vb),
-        step_count=t, beta1=state.beta1, beta2=state.beta2, epsilon=state.epsilon,
-    )
-    return new_params, new_state
+    Element by element the arithmetic is that of the per-tensor update
+    m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g,
+    theta = theta - (lr (m/c1)) / (sqrt(v/c2) + eps), so the bits are too.
+    """
+    if not np.isfinite(grad).all():
+        raise NonFiniteGradient("gradient contains NaN or infinity")
+    state.step_count += 1
+    c1, c2 = 1.0 - _BETA1**state.step_count, 1.0 - _BETA2**state.step_count
+    m, v = state.first, state.second
+    step, denom = state.scratch
+    m *= _BETA1
+    np.multiply(grad, 1.0 - _BETA1, out=step)
+    m += step
+    v *= _BETA2
+    np.multiply(grad, 1.0 - _BETA2, out=step)
+    step *= grad
+    v += step
+    np.divide(m, c1, out=step)
+    step *= learning_rate
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += _EPSILON
+    step /= denom
+    theta -= step
 
 
 def lipschitz_bound(params: MlpParams) -> float:
@@ -248,12 +255,14 @@ def clip_weights(params: MlpParams, clip_bound: float) -> MlpParams:
     """Scale each weight row so its absolute sum is at most clip_bound."""
     if not clip_bound > 0:
         raise ValueError("clip_bound must be positive")
-    new_weights = []
-    for w in params.weights:
-        row_sums = np.sum(np.abs(w), axis=1)
-        scale = np.where(row_sums > clip_bound, clip_bound / np.maximum(row_sums, 1e-300), 1.0)
-        new_weights.append(w * scale[:, None])
-    return MlpParams(params.layer_widths, tuple(new_weights), params.biases)
+    new_weights = tuple(w * _row_scale(w, clip_bound) for w in params.weights)
+    return MlpParams(params.layer_widths, new_weights, params.biases)
+
+
+def _row_scale(w: np.ndarray, clip_bound: float) -> np.ndarray:
+    """Column of per-row factors that bring each row's absolute sum to at most clip_bound."""
+    row_sums = np.sum(np.abs(w), axis=1)
+    return np.where(row_sums > clip_bound, clip_bound / np.maximum(row_sums, 1e-300), 1.0)[:, None]
 
 
 def save_model(params: MlpParams) -> bytes:
@@ -261,8 +270,7 @@ def save_model(params: MlpParams) -> bytes:
     parts = [struct.pack("<4sII", _MAGIC, _FORMAT_VERSION, len(params.layer_widths))]
     parts.append(struct.pack(f"<{len(params.layer_widths)}I", *params.layer_widths))
     for w, b in zip(params.weights, params.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        parts += [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in (w, b)]
     return b"".join(parts)
 
 
@@ -282,24 +290,14 @@ def load_model(data: bytes) -> MlpParams:
     widths = struct.unpack_from(f"<{n_widths}I", data, header)
     if any(w <= 0 for w in widths):
         raise ModelFormatError(f"non-positive width in {widths}")
-    expected = sum(
-        8 * (widths[k + 1] * widths[k] + widths[k + 1]) for k in range(n_widths - 1)
-    )
+    expected = 8 * sum(rows * cols + rows for rows, cols in zip(widths[1:], widths[:-1]))
     if len(data) - offset != expected:
         raise ModelFormatError(
             f"payload holds {len(data) - offset} bytes, widths {widths} need {expected}"
         )
-    weights, biases = [], []
-    for k in range(n_widths - 1):
-        rows, cols = widths[k + 1], widths[k]
-        w = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=offset)
-        offset += 8 * rows * cols
-        b = np.frombuffer(data, dtype="<f8", count=rows, offset=offset)
-        offset += 8 * rows
-        weights.append(w.reshape(rows, cols).copy())
-        biases.append(b.copy())
+    flat = FlatLayers(widths, np.frombuffer(data, dtype="<f8", offset=offset).astype(np.float64))
     try:
-        return MlpParams(tuple(widths), tuple(weights), tuple(biases))
+        return MlpParams(flat.layer_widths, flat.weights, flat.biases)
     except InvalidArchitecture as err:
         raise ModelFormatError(str(err)) from None
 
@@ -323,8 +321,9 @@ def train(
         raise EmptyBatch("training set is empty")
     n = x.shape[0]
 
-    params = init(layer_widths, config.seed)
-    state = AdamState.initial(params)
+    theta = FlatLayers.of(init(layer_widths, config.seed))
+    state = AdamState(theta.data.size)
+    work = Workspace(theta.layer_widths, min(config.batch_size, n))
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
 
     epoch_losses = []
@@ -333,10 +332,11 @@ def train(
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            loss, grads = loss_and_grad(params, x[idx], y[idx])
-            params, state = adam_step(params, grads, state, config.learning_rate)
+            loss, grad = loss_and_grad(theta, x[idx], y[idx], work)
+            adam_step(theta.data, grad.data, state, config.learning_rate)
             if config.clip_bound is not None:
-                params = clip_weights(params, config.clip_bound)
+                for w in theta.weights:
+                    w *= _row_scale(w, config.clip_bound)
             total += loss * len(idx)
         epoch_losses.append(total / n)
-    return params, epoch_losses
+    return MlpParams(theta.layer_widths, theta.weights, theta.biases), epoch_losses

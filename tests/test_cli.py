@@ -196,3 +196,27 @@ class TestStabilityCommand:
                    "--h-grid", 0.8, 0.9, "--out-dir", out) == 0
         _, rows = read_csv(out / "stability.csv")
         assert rows[0, 1] == 1 and rows[1, 1] == 0
+
+
+class TestRejectedArguments:
+    """Values argparse accepts but the library rejects exit 2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--problem", "example1", "--method", "euler", "--h", 0],
+            ["solve", "--problem", "example1", "--method", "euler", "--h", 20],
+            ["solve", "--problem", "example1", "--method", "euler", "--h", 1,
+             "--interval", 5, 3],
+            ["stability", "--lam", 5, "--h-grid", 0.1, 0.2],
+            ["stability", "--lam", -5, "--h-grid", 0.1, "--checkpoint", "{missing}"],
+            ["convergence", "--problem", "example1", "--method", "euler",
+             "--h-list", 0.1, 0.05],
+        ],
+        ids=["h_zero", "h_longer_than_domain", "reversed_interval", "positive_lam",
+             "missing_checkpoint", "two_h_values"],
+    )
+    def test_exits_2(self, tmp_path, capsys, argv):
+        argv = [str(a).format(missing=tmp_path / "missing.bin") for a in argv]
+        assert run(*argv, "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("error: ")

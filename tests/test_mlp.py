@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from deep_euler import mlp
 from deep_euler.errors import (
@@ -13,6 +16,7 @@ from deep_euler.errors import (
 )
 from deep_euler.mlp import (
     AdamState,
+    FlatLayers,
     MlpParams,
     TrainConfig,
     adam_step,
@@ -65,6 +69,72 @@ def finite_difference_grads(params, inputs, targets, eps=1e-5):
                     lo = val
             fd_b[k][idx] = (hi - lo) / (2 * eps)
     return fd_w, fd_b
+
+
+def reference_loss_and_grad(params, x, y):
+    """Per-layer backward pass that the flat loss_and_grad must match bit for bit."""
+    batch = x.shape[0]
+    activations, pre_acts, a = [x], [], x
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = a @ w.T + b
+        pre_acts.append(z)
+        a = np.maximum(z, 0.0)
+        activations.append(a)
+    diff = (a @ params.weights[-1].T + params.biases[-1]) - y
+    loss = float(np.sum(np.abs(diff)) / batch)
+    delta = np.sign(diff) / batch
+    grad_w, grad_b = [None] * params.num_layers, [None] * params.num_layers
+    grad_w[-1], grad_b[-1] = delta.T @ activations[-1], delta.sum(axis=0)
+    upstream = delta @ params.weights[-1]
+    for k in range(params.num_layers - 2, -1, -1):
+        dz = upstream * (pre_acts[k] > 0.0)
+        grad_w[k], grad_b[k] = dz.T @ activations[k], dz.sum(axis=0)
+        if k > 0:
+            upstream = dz @ params.weights[k]
+    return loss, grad_w, grad_b
+
+
+def reference_adam(tensors, grads, firsts, seconds, t, lr):
+    """Per-tensor Adam as written in Kingma & Ba; returns new tensors and moments."""
+    c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+    out = ([], [], [])
+    for p, g, m, v in zip(tensors, grads, firsts, seconds):
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        out[0].append(p - lr * (m / c1) / (np.sqrt(v / c2) + 1e-8))
+        out[1].append(m)
+        out[2].append(v)
+    return out
+
+
+def reference_train(x, y, widths, config):
+    """Per-layer loss_and_grad, Adam and clipping loop that train must match bit for bit."""
+    params = init(widths, config.seed)
+    tensors = [*params.weights, *params.biases]
+    firsts = [np.zeros_like(a) for a in tensors]
+    seconds = [np.zeros_like(a) for a in tensors]
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    n, t, layers, epoch_losses = x.shape[0], 0, len(widths) - 1, []
+    for _ in range(config.epochs):
+        perm = shuffle_rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            loss, grad_w, grad_b = reference_loss_and_grad(params, x[idx], y[idx])
+            t += 1
+            tensors, firsts, seconds = reference_adam(
+                tensors, grad_w + grad_b, firsts, seconds, t, config.learning_rate
+            )
+            if config.clip_bound is not None:
+                for k in range(layers):
+                    row_sums = np.sum(np.abs(tensors[k]), axis=1)
+                    scale = np.where(row_sums > config.clip_bound,
+                                     config.clip_bound / np.maximum(row_sums, 1e-300), 1.0)
+                    tensors[k] = tensors[k] * scale[:, None]
+            params = MlpParams(params.layer_widths, tuple(tensors[:layers]), tuple(tensors[layers:]))
+            total += loss * len(idx)
+        epoch_losses.append(total / n)
+    return params, epoch_losses
 
 
 def min_preactivation_margin(params, inputs):
@@ -185,53 +255,67 @@ class TestLossAndGrad:
             assert np.allclose(got, want, rtol=1e-4, atol=1e-7)
 
 
+def flat(parts):
+    return np.concatenate([np.ravel(a) for a in parts])
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params_and_moments(self):
-        params = init([2, 3, 1], seed=0)
-        grads = mlp.Gradients(
-            tuple(np.zeros_like(w) for w in params.weights),
-            tuple(np.zeros_like(b) for b in params.biases),
-        )
-        new_params, new_state = adam_step(params, grads, AdamState.initial(params), 0.01)
-        for a, b in zip(new_params.weights, params.weights):
-            assert np.array_equal(a, b)
-        for m in (*new_state.first_weights, *new_state.second_weights):
+        theta = FlatLayers.of(init([2, 3, 1], seed=0)).data
+        before = theta.copy()
+        state = AdamState(theta.size)
+        adam_step(theta, np.zeros_like(theta), state, 0.01)
+        assert np.array_equal(theta, before)
+        for m in (state.first, state.second):
             assert np.array_equal(m, np.zeros_like(m))
-        assert new_state.step_count == 1
+        assert state.step_count == 1
 
     def test_first_step_moves_by_learning_rate(self):
         # Bias correction makes the very first update lr * sign(grad).
-        params = single_layer([[0.0]], [0.0])
-        grads = mlp.Gradients((np.array([[1.0]]),), (np.zeros(1),))
-        new_params, _ = adam_step(params, grads, AdamState.initial(params), 0.1)
-        assert new_params.weights[0][0, 0] == pytest.approx(-0.1, abs=1e-8)
+        theta = FlatLayers.of(single_layer([[0.0]], [0.0]))
+        grad = FlatLayers(theta.layer_widths)
+        grad.weights[0][0, 0] = 1.0
+        adam_step(theta.data, grad.data, AdamState(theta.data.size), 0.1)
+        assert theta.weights[0][0, 0] == pytest.approx(-0.1, abs=1e-8)
+        assert theta.biases[0][0] == 0.0
 
     def test_deterministic_sequences(self, rng):
-        params = init([3, 4, 2], seed=1)
-        grad_seq = []
-        for _ in range(5):
-            grad_seq.append(
-                mlp.Gradients(
-                    tuple(rng.normal(size=w.shape) for w in params.weights),
-                    tuple(rng.normal(size=b.shape) for b in params.biases),
-                )
-            )
+        start = FlatLayers.of(init([3, 4, 2], seed=1)).data
+        grad_seq = [rng.normal(size=start.size) for _ in range(5)]
 
         def run():
-            p, s = params, AdamState.initial(params)
+            theta, state = start.copy(), AdamState(start.size)
             for g in grad_seq:
-                p, s = adam_step(p, g, s, 0.01)
-            return p
+                adam_step(theta, g, state, 0.01)
+            return theta
 
-        a, b = run(), run()
-        for wa, wb in zip(a.weights, b.weights):
-            assert np.array_equal(wa, wb)
+        assert np.array_equal(run(), run())
 
     def test_non_finite_gradient_rejected(self):
-        params = single_layer([[0.0]], [0.0])
-        grads = mlp.Gradients((np.array([[np.inf]]),), (np.zeros(1),))
+        theta = np.zeros(2)
+        state = AdamState(theta.size)
         with pytest.raises(NonFiniteGradient):
-            adam_step(params, grads, AdamState.initial(params), 0.1)
+            adam_step(theta, np.array([np.inf, 0.0]), state, 0.1)
+        assert state.step_count == 0 and np.array_equal(theta, np.zeros(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=4), data=st.data())
+    def test_flat_update_equals_per_layer_formula_bitwise(self, widths, data):
+        shapes = [s for r, c in zip(widths[1:], widths[:-1]) for s in ((r, c), (r,))]
+        values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        lr = data.draw(st.floats(1e-4, 0.5), label="lr")
+        tensors = [data.draw(arrays(np.float64, s, elements=values)) for s in shapes]
+        firsts = [np.zeros(s) for s in shapes]
+        seconds = [np.zeros(s) for s in shapes]
+        theta = flat(tensors)
+        state = AdamState(theta.size)
+        for t in range(1, data.draw(st.integers(1, 4), label="steps") + 1):
+            grads = [data.draw(arrays(np.float64, s, elements=values)) for s in shapes]
+            adam_step(theta, flat(grads), state, lr)
+            tensors, firsts, seconds = reference_adam(tensors, grads, firsts, seconds, t, lr)
+        assert theta.tobytes() == flat(tensors).tobytes()
+        assert state.first.tobytes() == flat(firsts).tobytes()
+        assert state.second.tobytes() == flat(seconds).tobytes()
 
 
 class TestLipschitz:
@@ -335,6 +419,38 @@ class TestTraining:
         cfg = TrainConfig(epochs=2, learning_rate=5e-3, batch_size=32, seed=0, clip_bound=1.1)
         params, _ = train(x, y, [3, 8, 2], cfg)
         assert lipschitz_bound(params) <= 1.1**2 * (1 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "widths, n, batch_size, clip_bound",
+        [
+            ([3, 8, 8, 1], 50, 7, None),
+            ([3, 8, 1], 20, 64, None),
+            ([3, 10, 10, 2], 60, 16, 1.5),
+            ([6, 12, 12, 12, 4], 45, 8, None),
+        ],
+        ids=["batch_not_dividing_n", "batch_over_n", "clip_bound", "kepler_shape"],
+    )
+    def test_bitwise_equal_to_per_layer_loop(self, widths, n, batch_size, clip_bound):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, widths[0]))
+        y = rng.normal(size=(n, widths[-1]))
+        cfg = TrainConfig(epochs=3, learning_rate=5e-3, batch_size=batch_size, seed=3,
+                          clip_bound=clip_bound)
+        got, got_losses = train(x, y, widths, cfg)
+        want, want_losses = reference_train(x, y, widths, cfg)
+        assert flat(got.weights).tobytes() == flat(want.weights).tobytes()
+        assert flat(got.biases).tobytes() == flat(want.biases).tobytes()
+        assert np.array(got_losses).tobytes() == np.array(want_losses).tobytes()
+
+    def test_nan_target_raises_on_first_step(self, monkeypatch):
+        x, y = self.linear_dataset(0, n=64)
+        y[5, 1] = np.nan
+        calls = []
+        real = mlp.loss_and_grad
+        monkeypatch.setattr(mlp, "loss_and_grad", lambda *a: calls.append(1) or real(*a))
+        with pytest.raises(NonFiniteGradient):
+            train(x, y, [3, 8, 2], TrainConfig(epochs=1, batch_size=64))
+        assert len(calls) == 1
 
     def test_config_invariants(self):
         from deep_euler.errors import ConfigError
