@@ -215,7 +215,7 @@ def _run_training(cfg: dict) -> tuple[mlp.MlpParams, list[float]]:
     return mlp.train(inputs, targets, widths, _train_config_of(cfg))
 
 
-def _corrector_for_method(method: str, checkpoint, problem) -> dem.Corrector:
+def _corrector_for_method(method: str, checkpoint) -> dem.Corrector:
     exponent = {"dem": 2, "dhm": 3}[method]
     if checkpoint is None:
         raise ConfigError(f"checkpoint: required for method {method}")
@@ -223,15 +223,7 @@ def _corrector_for_method(method: str, checkpoint, problem) -> dem.Corrector:
         data = Path(checkpoint).read_bytes()
     except OSError as err:
         raise ConfigError(f"checkpoint: {err}") from None
-    params = mlp.load_model(data)
-    corrector = dem.Corrector.network(params, exponent)
-    widths = params.layer_widths
-    if widths[0] != problem.dim + 2 or widths[-1] != problem.dim:
-        raise CorrectorShapeError(
-            f"checkpoint maps {widths[0]} -> {widths[-1]}, problem needs "
-            f"{problem.dim + 2} -> {problem.dim}"
-        )
-    return corrector
+    return dem.Corrector.network(mlp.load_model(data), exponent)
 
 
 def cmd_train(args) -> int:
@@ -272,9 +264,9 @@ def cmd_solve(args) -> int:
 
     corrector = None
     if args.method in ("dem", "dhm"):
-        corrector = _corrector_for_method(args.method, args.checkpoint, problem)
+        corrector = _corrector_for_method(args.method, args.checkpoint)
         base, order = (euler_step, 1) if args.method == "dem" else (heun_step, 2)
-        stepper = dem.make_corrected_stepper(base, order, corrector)
+        stepper = dem.make_corrected_stepper(base, order, corrector, problem)
     else:
         stepper = _CLASSIC_STEPPERS[args.method]
 
@@ -511,8 +503,8 @@ def cmd_convergence(args) -> int:
         if args.oracle:
             corrector = dem.Corrector.oracle(problem, order + 1)
         else:
-            corrector = _corrector_for_method(args.method, args.checkpoint, problem)
-        stepper = dem.make_corrected_stepper(base, order, corrector)
+            corrector = _corrector_for_method(args.method, args.checkpoint)
+        stepper = dem.make_corrected_stepper(base, order, corrector, problem)
     else:
         stepper = _CLASSIC_STEPPERS[args.method]
 

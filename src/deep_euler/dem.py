@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CorrectorShapeError, OrderMismatch
-from .mlp import MlpParams, forward
+from .errors import CorrectorShapeError, NonFiniteState, OrderMismatch
+from .mlp import MlpParams, forward_into
 from .ode import OdeProblem, StepSchedule, Trajectory, euler_step, flow, heun_step, solve_fixed
 
 
@@ -63,28 +63,6 @@ class Corrector:
         return cls(kind="zero", order_exponent=order_exponent)
 
 
-def _evaluate(
-    corrector: Corrector,
-    problem: OdeProblem,
-    x: float,
-    y: np.ndarray,
-    h: float,
-    base_value: np.ndarray,
-) -> np.ndarray:
-    if corrector.kind == "network":
-        widths = corrector.params.layer_widths
-        if widths[0] != problem.dim + 2 or widths[-1] != problem.dim:
-            raise CorrectorShapeError(
-                f"network maps {widths[0]} -> {widths[-1]}, problem needs "
-                f"{problem.dim + 2} -> {problem.dim}"
-            )
-        return forward(corrector.params, np.concatenate(([x, x + h], y)))
-    # Oracle: true scaled defect of the base method along the solution
-    # through the current state, so base + h^q * correction is exact locally.
-    target = flow(problem, x, y, x + h)
-    return (target - base_value) / h**corrector.order_exponent + corrector.offset
-
-
 def corrected_step(
     problem: OdeProblem,
     base_stepper,
@@ -94,18 +72,12 @@ def corrected_step(
     y: np.ndarray,
     h: float,
 ) -> np.ndarray:
-    """Base step of the given order plus h^(p+1) times the correction."""
-    if corrector.order_exponent != base_order + 1:
-        raise OrderMismatch(
-            f"corrector exponent {corrector.order_exponent} does not match "
-            f"base order {base_order} + 1"
-        )
-    base = base_stepper(problem, x, y, h)
-    if corrector.kind == "zero":
-        return base
-    return base + h**corrector.order_exponent * _evaluate(
-        corrector, problem, x, y, h, base
-    )
+    """Base step of the given order plus h^(p+1) times the correction; a
+    non-finite y raises NonFiniteState."""
+    stepper = make_corrected_stepper(base_stepper, base_order, corrector, problem)
+    if not np.isfinite(y).all():
+        raise NonFiniteState(x)
+    return stepper(problem, x, y, h)
 
 
 def dem_step(problem: OdeProblem, corrector: Corrector, x, y, h) -> np.ndarray:
@@ -118,13 +90,46 @@ def dhm_step(problem: OdeProblem, corrector: Corrector, x, y, h) -> np.ndarray:
     return corrected_step(problem, heun_step, 2, corrector, x, y, h)
 
 
-def make_corrected_stepper(base_stepper, base_order: int, corrector: Corrector):
-    """Bind a corrector to a base method, yielding a plain stepper function."""
+def make_corrected_stepper(
+    base_stepper, base_order: int, corrector: Corrector, problem: OdeProblem
+):
+    """Bind a corrector to a base method and a problem, checking the order and
+    a network's shape once; the stepper returns base + h^q * correction. A
+    network stepper reuses its buffers, so it serves one solve at a time, and
+    does not check its state: a solve already has."""
+    q = corrector.order_exponent
+    if q != base_order + 1:
+        raise OrderMismatch(f"corrector exponent {q} does not match base order {base_order} + 1")
+    if corrector.kind == "zero":
+        return base_stepper
+    if corrector.kind == "oracle":
 
-    def stepper(problem, x, y, h):
-        return corrected_step(problem, base_stepper, base_order, corrector, x, y, h)
+        def oracle_stepper(problem, x, y, h):
+            base = base_stepper(problem, x, y, h)
+            # True scaled defect along the local flow: the step is exact locally.
+            correction = (flow(problem, x, y, x + h) - base) / h**q + corrector.offset
+            return base + h**q * correction
 
-    return stepper
+        return oracle_stepper
+
+    params = corrector.params
+    widths = params.layer_widths
+    if widths[0] != problem.dim + 2 or widths[-1] != problem.dim:
+        raise CorrectorShapeError(
+            f"network maps {widths[0]} -> {widths[-1]}, problem needs "
+            f"{problem.dim + 2} -> {problem.dim}"
+        )
+    inp = np.empty(widths[0])
+    outputs = [np.empty(w) for w in widths[1:]]
+
+    def network_stepper(problem, x, y, h):
+        base = base_stepper(problem, x, y, h)
+        inp[0] = x
+        inp[1] = x + h
+        inp[2:] = y
+        return base + h**q * forward_into(params, inp, outputs)
+
+    return network_stepper
 
 
 def solve_dem(
@@ -133,7 +138,7 @@ def solve_dem(
     schedule: StepSchedule,
 ) -> Trajectory:
     """Integrate with the corrected Euler stepper over the schedule."""
-    return solve_fixed(problem, schedule, make_corrected_stepper(euler_step, 1, corrector))
+    return solve_fixed(problem, schedule, make_corrected_stepper(euler_step, 1, corrector, problem))
 
 
 def solve_dhm(
@@ -142,4 +147,4 @@ def solve_dhm(
     schedule: StepSchedule,
 ) -> Trajectory:
     """Integrate with the corrected Heun stepper over the schedule."""
-    return solve_fixed(problem, schedule, make_corrected_stepper(heun_step, 2, corrector))
+    return solve_fixed(problem, schedule, make_corrected_stepper(heun_step, 2, corrector, problem))

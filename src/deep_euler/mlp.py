@@ -144,11 +144,21 @@ def forward(params: MlpParams, x) -> np.ndarray:
         raise InvalidInput(
             f"input has shape {a.shape}, expected ({params.layer_widths[0]},)"
         )
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInput("non-finite network input")
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        a = np.maximum(w @ a + b, 0.0)
-    return params.weights[-1] @ a + params.biases[-1]
+    return forward_into(params, a, [np.empty(w) for w in params.layer_widths[1:]])
+
+
+def forward_into(params: MlpParams, a: np.ndarray, outputs: Sequence[np.ndarray]) -> np.ndarray:
+    """forward without input checks; layer k writes outputs[k], and outputs[-1] is returned."""
+    last = params.num_layers - 1
+    for k, (w, b, z) in enumerate(zip(params.weights, params.biases, outputs)):
+        np.dot(w, a, out=z)
+        z += b
+        if k < last:
+            np.maximum(z, 0.0, out=z)
+        a = z
+    return a
 
 
 def forward_batch(params: MlpParams, xs) -> np.ndarray:
@@ -181,6 +191,8 @@ def loss_and_grad(
         raise EmptyBatch("loss_and_grad needs at least one sample")
     if x.shape[0] != y.shape[0]:
         raise ValueError("inputs and targets disagree on batch size")
+    if x.shape[1] != params.layer_widths[0] or y.shape[1] != params.layer_widths[-1]:
+        raise InvalidInput(f"data {x.shape} -> {y.shape} does not fit widths {params.layer_widths}")
     batch = x.shape[0]
     if work is None:
         work = Workspace(params.layer_widths, batch)
@@ -311,7 +323,8 @@ def train(
     """Minibatch Adam training on (inputs, targets); returns params and per-epoch mean loss.
 
     Data order is reshuffled every epoch from the run seed, so a fixed
-    (seed, config, dataset) triple reproduces the parameters bitwise.
+    (seed, config, dataset) triple reproduces the parameters bitwise. Data
+    whose widths do not fit layer_widths raises InvalidInput on the first batch.
     """
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)

@@ -47,6 +47,8 @@ class OdeProblem:
             raise ValueError(
                 f"initial value has shape {initial.shape}, expected ({self.dim},)"
             )
+        if not np.isfinite(initial).all():
+            raise ValueError("initial value must be finite")
         object.__setattr__(self, "initial", initial)
         if self.exact is not None:
             drift = np.max(np.abs(np.asarray(self.exact(a), float) - initial))
@@ -127,7 +129,7 @@ def _eval_rhs(problem: OdeProblem, x: float, y: np.ndarray) -> np.ndarray:
         k = np.asarray(problem.rhs(x, y), dtype=np.float64)
     if k.shape != (problem.dim,):
         raise ValueError(f"rhs returned shape {k.shape}, expected ({problem.dim},)")
-    if not np.all(np.isfinite(k)):
+    if not np.isfinite(k).all():
         raise NonFiniteState(x)
     return k
 
@@ -149,13 +151,14 @@ def solve_fixed(problem: OdeProblem, schedule: StepSchedule, stepper) -> Traject
     xs = schedule.mesh(*problem.domain)
     ys = np.empty((len(xs), problem.dim), dtype=np.float64)
     ys[0] = problem.initial
-    for m in range(len(xs) - 1):
+    mesh = xs.tolist()  # Python floats: cheaper scalar arithmetic, same values
+    for m, (x, x_next) in enumerate(zip(mesh, mesh[1:])):
         try:
-            ys[m + 1] = stepper(problem, xs[m], ys[m], xs[m + 1] - xs[m])
+            ys[m + 1] = stepper(problem, x, ys[m], x_next - x)
         except NonFiniteState as err:
             raise NonFiniteState(err.x, step=m) from None
-        if not np.all(np.isfinite(ys[m + 1])):
-            raise NonFiniteState(xs[m], step=m)
+        if not np.isfinite(ys[m + 1]).all():
+            raise NonFiniteState(x, step=m)
     return Trajectory(xs, ys)
 
 

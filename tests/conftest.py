@@ -7,6 +7,9 @@ from deep_euler.ode import builtin_problems
 
 _acceptance_results = []
 
+# Session fixtures that train a network; nearly all of the suite's wall time.
+_TRAINING_FIXTURES = {"example1_corrector", "lotka_volterra_corrector", "kepler_corrector"}
+
 
 @pytest.fixture
 def problems():
@@ -16,6 +19,12 @@ def problems():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if _TRAINING_FIXTURES.intersection(item.fixturenames):
+            item.add_marker(pytest.mark.slow)
 
 
 def pytest_runtest_logreport(report):

@@ -125,6 +125,10 @@ class TestSolve:
         assert run("solve", "--problem", "kepler", "--method", "dem", "--h", 1.0,
                    "--checkpoint", tiny_model, "--out-dir", tmp_path) == 3
 
+    def test_dimension_mismatch_dhm_exits_3(self, tmp_path, tiny_model):
+        assert run("solve", "--problem", "kepler", "--method", "dhm", "--h", 1.0,
+                   "--checkpoint", tiny_model, "--out-dir", tmp_path) == 3
+
     def test_missing_checkpoint_exits_2(self, tmp_path):
         assert run("solve", "--problem", "example1", "--method", "dem",
                    "--h", 1.0, "--out-dir", tmp_path) == 2

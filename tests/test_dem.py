@@ -1,6 +1,7 @@
 """Corrected steppers: zero/oracle/network correctors and solve loops."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from deep_euler.dem import (
     solve_dem,
     solve_dhm,
 )
-from deep_euler.errors import CorrectorShapeError, OrderMismatch
+from deep_euler.errors import CorrectorShapeError, NonFiniteState, OrderMismatch
 from deep_euler.metrics import max_abs_error
-from deep_euler.mlp import MlpParams, init
-from deep_euler.ode import OdeProblem, StepSchedule, euler_step, heun_step, restrict
+from deep_euler.mlp import MlpParams, clip_weights, init
+from deep_euler.ode import OdeProblem, StepSchedule, euler_step, flow, heun_step, restrict
 
 
 @pytest.fixture
@@ -176,3 +177,127 @@ class TestSolveLoops:
         traj = solve_dhm(prob, Corrector.oracle(prob, 3), StepSchedule.uniform(1.0))
         assert traj.xs[0] == 15.0 and traj.xs[-1] == 20.0
         assert max_abs_error(traj, problems["kepler"].exact) <= 1e-9
+
+
+def reference_forward(params, a):
+    """The single-vector forward as it was before the layer loop wrote into buffers."""
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        a = np.maximum(w @ a + b, 0.0)
+    return params.weights[-1] @ a + params.biases[-1]
+
+
+def reference_solve(problem, schedule, base_stepper, corrector):
+    """Solve loop with the correction computed afresh each step, as before steppers were bound."""
+    q = corrector.order_exponent
+    xs = schedule.mesh(*problem.domain)
+    ys = np.empty((len(xs), problem.dim))
+    ys[0] = problem.initial
+    for m in range(len(xs) - 1):
+        x, y, h = xs[m], ys[m], xs[m + 1] - xs[m]
+        base = base_stepper(problem, x, y, h)
+        if corrector.kind == "zero":
+            ys[m + 1] = base
+            continue
+        if corrector.kind == "network":
+            correction = reference_forward(corrector.params, np.concatenate(([x, x + h], y)))
+        else:
+            correction = (flow(problem, x, y, x + h) - base) / h**q + corrector.offset
+        ys[m + 1] = base + h**q * correction
+    return xs, ys
+
+
+def clipped_net(widths, seed):
+    """Random net with Lipschitz bound at most 1 and small non-zero biases."""
+    params = clip_weights(init(widths, seed), 1.0)
+    rng = np.random.default_rng(seed)
+    biases = tuple(rng.normal(scale=0.1, size=b.shape) for b in params.biases)
+    return MlpParams(params.layer_widths, params.weights, biases)
+
+
+EX1_NET = [3] + [80] * 8 + [1]
+
+
+class TestBoundPathBitwise:
+    """Bound steppers reproduce the per-step path byte for byte."""
+
+    @pytest.mark.parametrize("method", ["dem", "dhm"])
+    @pytest.mark.parametrize(
+        "case, h",
+        [
+            ("network", 1.0),
+            ("network", 0.3),  # 10 / 0.3 is not whole: the last step is shortened
+            ("restricted", 0.3),
+            ("kepler", 0.1),
+            ("oracle", 0.5),
+            ("oracle_offset", 0.5),
+            ("zero", 0.3),
+        ],
+    )
+    def test_trajectory_bytes(self, problems, method, case, h):
+        prob = problems["kepler" if case == "kepler" else "example1"]
+        if case == "restricted":
+            prob = restrict(prob, 2.0, 7.0)
+        q = 2 if method == "dem" else 3
+        if case.startswith("oracle"):
+            corr = Corrector.oracle(prob, q, offset=0.01 if case == "oracle_offset" else 0.0)
+        elif case == "zero":
+            corr = Corrector.zero(q)
+        else:
+            widths = [6] + [80] * 8 + [4] if case == "kepler" else EX1_NET
+            corr = Corrector.network(clipped_net(widths, seed=q), q)
+        solve, base = (solve_dem, euler_step) if method == "dem" else (solve_dhm, heun_step)
+        traj = solve(prob, corr, StepSchedule.uniform(h))
+        xs, ys = reference_solve(prob, StepSchedule.uniform(h), base, corr)
+        assert traj.xs.tobytes() == xs.tobytes()
+        assert traj.ys.tobytes() == ys.tobytes()
+
+    @pytest.mark.parametrize("method", ["dem", "dhm"])
+    def test_single_step_bytes(self, problems, rng, method):
+        prob = problems["example1"]
+        q = 2 if method == "dem" else 3
+        corr = Corrector.network(clipped_net(EX1_NET, seed=7), q)
+        step, base = (dem_step, euler_step) if method == "dem" else (dhm_step, heun_step)
+        for _ in range(20):
+            x, h = rng.uniform(0.0, 9.0), rng.uniform(0.01, 1.0)
+            y = rng.normal(size=1)
+            want = base(prob, x, y, h) + h**q * reference_forward(
+                corr.params, np.concatenate(([x, x + h], y))
+            )
+            assert step(prob, corr, x, y, h).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_direct_step_rejects_non_finite_state(self, bad):
+        # The right-hand side ignores y, so only the state check can see it.
+        prob = OdeProblem(name="drift", dim=1, rhs=lambda x, y: np.ones(1), domain=(0.0, 1.0),
+                          initial=np.zeros(1))
+        corr = Corrector.network(clipped_net(EX1_NET, seed=0), 2)
+        with pytest.raises(NonFiniteState):
+            dem_step(prob, corr, 0.5, np.array([bad]), 0.1)
+
+
+class TestNonFiniteMidSolve:
+    """A blow-up under a network stepper is reported with its step and x, and no warning."""
+
+    @staticmethod
+    def problem(rhs):
+        return OdeProblem(name="blowup", dim=1, rhs=rhs, domain=(0.0, 1.0),
+                          initial=np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "rhs, step",
+        [
+            (lambda x, y: y * (np.nan if x > 0.55 else 1.0), 6),  # NaN from x = 0.6 on
+            (lambda x, y: y * y * 1e200, 1),  # y_1 is about 1e199, so y_1^2 overflows
+        ],
+        ids=["nan", "overflow"],
+    )
+    def test_reports_step_and_x(self, rhs, step):
+        prob = self.problem(rhs)
+        corr = Corrector.network(clipped_net(EX1_NET, seed=1), 2)
+        schedule = StepSchedule.uniform(0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState) as info:
+                solve_dem(prob, corr, schedule)
+        assert info.value.step == step
+        assert info.value.x == schedule.mesh(0.0, 1.0)[step]

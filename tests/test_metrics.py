@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from deep_euler.dem import Corrector, make_corrected_stepper
+from deep_euler.dem import Corrector, dem_step, make_corrected_stepper
+from deep_euler.errors import NonFiniteState
 from deep_euler.metrics import (
     ErrorReport,
     convergence_order,
@@ -14,7 +17,7 @@ from deep_euler.metrics import (
     max_abs_error,
     stability_scan,
 )
-from deep_euler.mlp import MlpParams, clip_weights, lipschitz_bound
+from deep_euler.mlp import MlpParams, clip_weights, init, lipschitz_bound
 from deep_euler.ode import (
     OdeProblem,
     StepSchedule,
@@ -144,7 +147,7 @@ class TestConvergenceOrder:
         assert est.order == pytest.approx(2.0, abs=0.2)
 
     def test_oracle_corrected_stepper_is_degenerate(self, exp_problem):
-        stepper = make_corrected_stepper(euler_step, 1, Corrector.oracle(exp_problem, 2))
+        stepper = make_corrected_stepper(euler_step, 1, Corrector.oracle(exp_problem, 2), exp_problem)
         est = convergence_order(exp_problem, stepper, [0.1, 0.05, 0.025])
         assert est.degenerate
         assert est.order == math.inf
@@ -176,3 +179,65 @@ class TestStabilityScan:
     def test_positive_lambda_rejected(self):
         with pytest.raises(ValueError):
             stability_scan(1.0, Corrector.zero(2), [0.1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.floats(-10.0, -0.5),
+        grid=st.lists(st.floats(1e-3, 1.5), min_size=1, max_size=8),
+        corrector=st.one_of(
+            st.just(Corrector.zero(2)),
+            st.builds(
+                lambda hidden, seed, ln: Corrector.network(
+                    clip_weights(init([3, *hidden, 1], seed), ln), 2
+                ),
+                st.lists(st.integers(1, 16), min_size=0, max_size=3),
+                st.integers(0, 2**16),
+                st.floats(0.5, 8.0),
+            ),
+        ),
+        steps=st.integers(1, 300),
+        bound=st.floats(1.5, 100.0),
+    )
+    @example(
+        lam=-5.0,
+        grid=[0.4, 0.5, 0.8, 5.0 / 6.0, 0.85, 0.9],
+        corrector=clipped_linear_corrector(6.0),
+        steps=1000,
+        bound=10.0,
+    )
+    def test_lockstep_flags_equal_per_h_loop(self, lam, grid, corrector, steps, bound):
+        got = stability_scan(lam, corrector, grid, steps=steps, bound=bound)
+        assert got == reference_scan(lam, corrector, grid, steps, bound)
+
+    def test_oracle_flags_equal_per_h_loop(self, exp_problem):
+        grid = [0.1, 0.45, 0.9, 2.0]
+        corr = Corrector.oracle(exp_problem, 2)
+        assert stability_scan(-5.0, corr, grid, steps=20) == reference_scan(-5.0, corr, grid, 20, 10.0)
+
+
+def reference_scan(lam, corrector, h_grid, steps, bound):
+    """The scan as it was before the lockstep: one h, one dem_step at a time."""
+    results = []
+    for h in h_grid:
+        h = float(h)
+        problem = OdeProblem(
+            name="linear_test",
+            dim=1,
+            rhs=lambda x, y: lam * y,
+            domain=(0.0, steps * h + h),
+            initial=np.array([1.0]),
+            exact=lambda x: np.array([math.exp(lam * x)]),
+        )
+        y = problem.initial
+        bounded = True
+        for m in range(steps):
+            try:
+                y = dem_step(problem, corrector, m * h, y, h)
+            except NonFiniteState:
+                bounded = False
+                break
+            if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > bound:
+                bounded = False
+                break
+        results.append((h, bounded))
+    return results

@@ -246,6 +246,12 @@ class TestLossAndGrad:
         with pytest.raises(EmptyBatch):
             loss_and_grad(params, np.empty((0, 2)), np.empty((0, 1)))
 
+    @pytest.mark.parametrize("x_width, y_width", [(3, 1), (2, 2)], ids=["targets", "inputs"])
+    def test_wrong_data_width_rejected(self, rng, x_width, y_width):
+        params = init([3, 8, 2], seed=0)
+        with pytest.raises(InvalidInput):
+            loss_and_grad(params, rng.normal(size=(5, x_width)), rng.normal(size=(5, y_width)))
+
     def test_matches_central_differences(self, rng):
         params = init([3, 5, 2], seed=7)
         x, y = sample_away_from_kinks(params, batch=4, rng=rng)
@@ -451,6 +457,13 @@ class TestTraining:
         with pytest.raises(NonFiniteGradient):
             train(x, y, [3, 8, 2], TrainConfig(epochs=1, batch_size=64))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("x_width, y_width", [(3, 1), (4, 2)], ids=["targets", "inputs"])
+    def test_wrong_data_width_rejected(self, x_width, y_width):
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(40, x_width)), rng.normal(size=(40, y_width))
+        with pytest.raises(InvalidInput):
+            train(x, y, [3, 8, 2], TrainConfig(epochs=1))
 
     def test_config_invariants(self):
         from deep_euler.errors import ConfigError
