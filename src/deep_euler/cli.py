@@ -6,7 +6,7 @@ manifest, numpy/BLAS build and BLAS thread count reproduces its outputs byte
 for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 dimension/shape error,
-4 numerical failure.
+4 numerical failure; each error class carries its own code.
 """
 
 from __future__ import annotations
@@ -21,34 +21,20 @@ import numpy as np
 
 from . import __version__
 from . import dataset, dem, metrics, mlp
-from .errors import (
-    ConfigError,
-    CorrectorShapeError,
-    EmptyBatch,
-    EmptyDataset,
-    InvalidArchitecture,
-    InvalidInput,
-    MinStepReached,
-    ModelFormatError,
-    NonFiniteGradient,
-    NonFiniteState,
-    OrderMismatch,
-    TooFewPoints,
-    UnknownProblem,
-)
+from .errors import ConfigError, DeepEulerError, NonFiniteGradient, NonFiniteState
 from .ode import (
+    BASE_METHODS,
+    EULER,
+    HEUN,
     StepSchedule,
-    euler_step,
     evaluate_truth,
     get_problem,
-    heun_step,
     restrict,
     solve_fixed,
 )
 
-_CONFIG_EXIT = 2
-_SHAPE_EXIT = 3
-_NUMERIC_EXIT = 4
+# Every --method name: the base methods, then their corrected forms.
+_METHODS = {**BASE_METHODS, **{m.corrected: m for m in BASE_METHODS.values()}}
 
 # Training-region defaults; measurement counts follow the benchmark protocol.
 _PROBLEM_DEFAULTS = {
@@ -124,43 +110,35 @@ def _load_config_file(path) -> dict:
 
 
 def _resolve_train_config(args) -> dict:
-    cfg = dict(_TRAIN_DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(_load_config_file(args.config))
-    if args.problem is not None:
-        cfg["problem"] = args.problem
-    if "problem" not in cfg:
-        raise ConfigError("problem: missing (flag --problem or config key)")
-    defaults = _PROBLEM_DEFAULTS.get(cfg["problem"])
-    if defaults is None:
-        raise ConfigError(f"problem: unknown problem {cfg['problem']!r}")
-    cfg.setdefault("points", defaults["points"])
-    cfg.setdefault("interval", defaults["interval"])
-
+    """``dem train``'s config: the file, then DEM_SEED, then the flags."""
+    file_cfg = _load_config_file(args.config) if args.config else {}
+    env_cfg = {}
     env_seed = os.environ.get("DEM_SEED")
     if env_seed is not None:
         try:
-            cfg["seed"] = int(env_seed)
+            env_cfg["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"DEM_SEED: expected an integer, got {env_seed!r}") from None
+    # Every config key has a flag of the same name.
+    flags = {key: getattr(args, key) for key in _TRAIN_KEYS if getattr(args, key) is not None}
+    return _train_config(file_cfg, env_cfg, flags)
 
-    for flag in (
-        "points", "noise_level", "min_gap", "hidden_layers", "hidden_width",
-        "target", "epochs", "learning_rate", "batch_size", "seed",
-        "dataset_seed", "clip_bound", "pair_policy",
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg[flag] = value
-    if getattr(args, "interval", None) is not None:
-        cfg["interval"] = list(args.interval)
 
+def _train_config(*overrides: dict) -> dict:
+    """The training defaults updated by each of ``overrides`` in turn, with the
+    problem's defaults for what they leave unset; validated."""
+    cfg = dict(_TRAIN_DEFAULTS)
+    for layer in overrides:
+        cfg.update(layer)
+    if "problem" not in cfg:
+        raise ConfigError("problem: missing (flag --problem or config key)")
+    problem = cfg["problem"]
+    if not isinstance(problem, str) or problem not in _PROBLEM_DEFAULTS:
+        raise ConfigError(f"problem: unknown problem {problem!r}")
+    for key, value in _PROBLEM_DEFAULTS[problem].items():
+        cfg.setdefault(key, value)
     cfg.setdefault("dataset_seed", cfg["seed"])
-    _validate_train_config(cfg)
-    return cfg
 
-
-def _validate_train_config(cfg: dict) -> None:
     _as_int(cfg["points"], "points")
     _as_int(cfg["hidden_layers"], "hidden_layers")
     _as_int(cfg["hidden_width"], "hidden_width")
@@ -168,20 +146,23 @@ def _validate_train_config(cfg: dict) -> None:
     _as_int(cfg["dataset_seed"], "dataset_seed")
     _as_float(cfg["noise_level"], "noise_level")
     interval = cfg["interval"]
-    if (
-        not isinstance(interval, (list, tuple))
-        or len(interval) != 2
-        or not interval[0] < interval[1]
+    if not (
+        isinstance(interval, (list, tuple))
+        and len(interval) == 2
+        and _as_float(interval[0], "interval") < _as_float(interval[1], "interval")
     ):
         raise ConfigError(f"interval: expected [lo, hi] with lo < hi, got {interval!r}")
     if cfg["pair_policy"] not in ("all_pairs", "min_gap"):
         raise ConfigError(f"pair_policy: expected all_pairs or min_gap, got {cfg['pair_policy']!r}")
-    if cfg["target"] not in ("euler", "heun"):
-        raise ConfigError(f"target: expected euler or heun, got {cfg['target']!r}")
+    if not isinstance(cfg["target"], str) or cfg["target"] not in BASE_METHODS:
+        raise ConfigError(
+            f"target: expected one of {', '.join(BASE_METHODS)}, got {cfg['target']!r}"
+        )
     if cfg["hidden_layers"] < 1 or cfg["hidden_width"] < 1:
         raise ConfigError("hidden_layers/hidden_width: must be >= 1")
     # Optimizer-facing values are validated by TrainConfig itself.
     _train_config_of(cfg)
+    return cfg
 
 
 def _train_config_of(cfg: dict) -> mlp.TrainConfig:
@@ -215,15 +196,28 @@ def _run_training(cfg: dict) -> tuple[mlp.MlpParams, list[float]]:
     return mlp.train(inputs, targets, widths, _train_config_of(cfg))
 
 
-def _corrector_for_method(method: str, checkpoint) -> dem.Corrector:
-    exponent = {"dem": 2, "dhm": 3}[method]
+def _network_corrector(method, checkpoint) -> dem.Corrector:
+    """The network in ``checkpoint``, scaled for the corrected form of ``method``."""
     if checkpoint is None:
-        raise ConfigError(f"checkpoint: required for method {method}")
+        raise ConfigError(f"checkpoint: required for method {method.corrected}")
     try:
         data = Path(checkpoint).read_bytes()
     except OSError as err:
         raise ConfigError(f"checkpoint: {err}") from None
-    return dem.Corrector.network(mlp.load_model(data), exponent)
+    return dem.Corrector.network(mlp.load_model(data), method.exponent)
+
+
+def _method_stepper(name: str, problem, checkpoint, oracle: bool = False):
+    """The stepper that --method ``name`` selects, and its corrector (None for
+    a base method)."""
+    method = _METHODS[name]
+    if name == method.name:
+        return method.step, None
+    if oracle:
+        corrector = dem.Corrector.oracle(problem, method.exponent)
+    else:
+        corrector = _network_corrector(method, checkpoint)
+    return dem.make_corrected_stepper(method, corrector, problem), corrector
 
 
 def cmd_train(args) -> int:
@@ -237,23 +231,17 @@ def cmd_train(args) -> int:
         ["epoch", "mean_loss"],
         [(i + 1, loss) for i, loss in enumerate(losses)],
     )
-    widths = [get_problem(cfg["problem"]).dim + 2]
-    widths += [cfg["hidden_width"]] * cfg["hidden_layers"]
-    widths += [get_problem(cfg["problem"]).dim]
     _write_manifest(
         out_dir,
         {
             "command": "train",
             "config": cfg,
-            "network_widths": widths,
+            "network_widths": list(params.layer_widths),
             "outputs": {"model": "model.bin", "loss_csv": "loss.csv"},
         },
     )
     print(f"trained {cfg['problem']} ({cfg['target']} target), final loss {losses[-1]:.6g}")
     return 0
-
-
-_CLASSIC_STEPPERS = {"euler": euler_step, "heun": heun_step}
 
 
 def cmd_solve(args) -> int:
@@ -262,14 +250,7 @@ def cmd_solve(args) -> int:
         problem = restrict(problem, args.interval[0], args.interval[1])
     schedule = StepSchedule.uniform(args.h)
 
-    corrector = None
-    if args.method in ("dem", "dhm"):
-        corrector = _corrector_for_method(args.method, args.checkpoint)
-        base, order = (euler_step, 1) if args.method == "dem" else (heun_step, 2)
-        stepper = dem.make_corrected_stepper(base, order, corrector, problem)
-    else:
-        stepper = _CLASSIC_STEPPERS[args.method]
-
+    stepper, corrector = _method_stepper(args.method, problem, args.checkpoint)
     trajectory = solve_fixed(problem, schedule, stepper)
 
     header = ["x"] + [f"y_{c + 1}" for c in range(problem.dim)]
@@ -316,28 +297,21 @@ def cmd_table1(args) -> int:
         "dataset_seed": args.dataset_seed if args.dataset_seed is not None else args.seed,
         "points": args.points,
     }
-    models = {}
-    for target in ("euler", "heun"):
-        cfg = dict(_TRAIN_DEFAULTS)
-        cfg.update(base_cfg)
-        cfg["target"] = target
-        cfg.setdefault("interval", _PROBLEM_DEFAULTS["example1"]["interval"])
-        _validate_train_config(cfg)
-        params, _ = _run_training(cfg)
-        models[target] = params
-        name = "model_dem.bin" if target == "euler" else "model_dhm.bin"
-        (out_dir / name).write_bytes(mlp.save_model(params))
+    correctors = []
+    for method in (EULER, HEUN):
+        params, _ = _run_training(_train_config(base_cfg, {"target": method.name}))
+        correctors.append(dem.Corrector.network(params, method.exponent))
+        (out_dir / f"model_{method.corrected}.bin").write_bytes(mlp.save_model(params))
 
     problem = get_problem("example1")
     train_region = tuple(_PROBLEM_DEFAULTS["example1"]["interval"])
-    dem_corr = dem.Corrector.network(models["euler"], 2)
-    dhm_corr = dem.Corrector.network(models["heun"], 3)
+    dem_corr, dhm_corr = correctors
 
     rows = []
     for h in args.h_list:
         schedule = StepSchedule.uniform(h)
-        e_euler = _max_error_vs_truth(problem, solve_fixed(problem, schedule, euler_step))
-        e_heun = _max_error_vs_truth(problem, solve_fixed(problem, schedule, heun_step))
+        e_euler = _max_error_vs_truth(problem, solve_fixed(problem, schedule, EULER.step))
+        e_heun = _max_error_vs_truth(problem, solve_fixed(problem, schedule, HEUN.step))
         e_dem = _max_error_vs_truth(problem, dem.solve_dem(problem, dem_corr, schedule))
         e_dhm = _max_error_vs_truth(problem, dem.solve_dhm(problem, dhm_corr, schedule))
         eps = metrics.eps_mean(dem_corr, problem, schedule, region=train_region)
@@ -375,6 +349,8 @@ def _parse_arch(spec: str) -> tuple[int, int]:
 
 
 def cmd_table2(args) -> int:
+    if args.num_seeds < 1:
+        raise ConfigError(f"num_seeds: must be >= 1, got {args.num_seeds}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     problem = get_problem("example1")
@@ -388,23 +364,19 @@ def cmd_table2(args) -> int:
             layers, width = _parse_arch(arch)
             eps_train, eps_test = [], []
             for run in range(args.num_seeds):
-                cfg = dict(_TRAIN_DEFAULTS)
-                cfg.update(
+                cfg = _train_config(
                     {
                         "problem": "example1",
                         "points": points,
-                        "interval": [lo, hi],
                         "hidden_layers": layers,
                         "hidden_width": width,
                         "epochs": args.epochs,
                         "seed": args.seed + run,
-                        "dataset_seed": args.seed + run,
                     }
                 )
-                _validate_train_config(cfg)
                 try:
                     params, _ = _run_training(cfg)
-                    corrector = dem.Corrector.network(params, 2)
+                    corrector = dem.Corrector.network(params, EULER.exponent)
                     eps_train.append(
                         metrics.eps_mean(corrector, problem, schedule, region=(lo, hi))
                     )
@@ -452,21 +424,18 @@ def cmd_table3(args) -> int:
 
     correctors = {}
     for level in args.noise_levels:
-        cfg = dict(_TRAIN_DEFAULTS)
-        cfg.update(
+        cfg = _train_config(
             {
                 "problem": "example1",
                 "points": args.points,
-                "interval": list(train_region),
                 "noise_level": level,
                 "epochs": args.epochs,
                 "seed": args.seed,
                 "dataset_seed": args.dataset_seed if args.dataset_seed is not None else args.seed,
             }
         )
-        _validate_train_config(cfg)
         params, _ = _run_training(cfg)
-        correctors[level] = dem.Corrector.network(params, 2)
+        correctors[level] = dem.Corrector.network(params, EULER.exponent)
         tag = format(level, "g").replace(".", "p")
         (out_dir / f"model_noise_{tag}.bin").write_bytes(mlp.save_model(params))
 
@@ -498,16 +467,7 @@ def cmd_table3(args) -> int:
 
 def cmd_convergence(args) -> int:
     problem = get_problem(args.problem)
-    if args.method in ("dem", "dhm"):
-        base, order = (euler_step, 1) if args.method == "dem" else (heun_step, 2)
-        if args.oracle:
-            corrector = dem.Corrector.oracle(problem, order + 1)
-        else:
-            corrector = _corrector_for_method(args.method, args.checkpoint)
-        stepper = dem.make_corrected_stepper(base, order, corrector, problem)
-    else:
-        stepper = _CLASSIC_STEPPERS[args.method]
-
+    stepper, _ = _method_stepper(args.method, problem, args.checkpoint, args.oracle)
     estimate = metrics.convergence_order(problem, stepper, args.h_list)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -544,12 +504,11 @@ def cmd_stability(args) -> int:
             (np.array([[0.0, 0.0, 2.0 * args.clip_ln]]),),
             (np.zeros(1),),
         )
-        corrector = dem.Corrector.network(mlp.clip_weights(raw, args.clip_ln), 2)
+        corrector = dem.Corrector.network(mlp.clip_weights(raw, args.clip_ln), EULER.exponent)
     elif args.checkpoint is not None:
-        params = mlp.load_model(Path(args.checkpoint).read_bytes())
-        corrector = dem.Corrector.network(params, 2)
+        corrector = _network_corrector(EULER, args.checkpoint)
     else:
-        corrector = dem.Corrector.zero(2)
+        corrector = dem.Corrector.zero(EULER.exponent)
 
     results = metrics.stability_scan(
         args.lam, corrector, args.h_grid, steps=args.steps, bound=args.bound
@@ -595,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--min-gap", type=float, dest="min_gap")
     p_train.add_argument("--hidden-layers", type=int, dest="hidden_layers")
     p_train.add_argument("--hidden-width", type=int, dest="hidden_width")
-    p_train.add_argument("--target", choices=("euler", "heun"))
+    p_train.add_argument("--target", choices=list(BASE_METHODS))
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--learning-rate", type=float, dest="learning_rate")
     p_train.add_argument("--batch-size", type=int, dest="batch_size")
@@ -606,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="integrate a problem and write the trajectory")
     p_solve.add_argument("--problem", required=True, choices=sorted(_PROBLEM_DEFAULTS))
-    p_solve.add_argument("--method", required=True, choices=("euler", "heun", "dem", "dhm"))
+    p_solve.add_argument("--method", required=True, choices=list(_METHODS))
     p_solve.add_argument("--h", type=float, required=True)
     p_solve.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"))
     p_solve.add_argument("--checkpoint")
@@ -648,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convergence", help="measured convergence order")
     p_conv.add_argument("--problem", required=True, choices=sorted(_PROBLEM_DEFAULTS))
-    p_conv.add_argument("--method", required=True, choices=("euler", "heun", "dem", "dhm"))
+    p_conv.add_argument("--method", required=True, choices=list(_METHODS))
     p_conv.add_argument("--h-list", type=float, nargs="+", dest="h_list", required=True)
     p_conv.add_argument("--checkpoint")
     p_conv.add_argument("--oracle", action="store_true",
@@ -676,16 +635,10 @@ def main(argv=None) -> int:
         return args.func(args)
     # ValueError: an argument argparse accepts but the library rejects, such
     # as a step size or interval out of range. OSError: an unreadable file.
-    except (ConfigError, UnknownProblem, ModelFormatError, TooFewPoints, EmptyDataset,
-            ValueError, OSError) as err:
+    # Both are configuration errors.
+    except (DeepEulerError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return _CONFIG_EXIT
-    except (CorrectorShapeError, OrderMismatch, InvalidArchitecture, InvalidInput, EmptyBatch) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _SHAPE_EXIT
-    except (NonFiniteState, MinStepReached, NonFiniteGradient) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _NUMERIC_EXIT
+        return err.exit_code if isinstance(err, DeepEulerError) else DeepEulerError.exit_code
 
 
 if __name__ == "__main__":

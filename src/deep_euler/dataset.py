@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadPairOrder, ConfigError, EmptyDataset, TooFewPoints
-from .ode import OdeProblem, euler_step, evaluate_truth, heun_step
+from .ode import BASE_METHODS, EULER, BaseMethod, OdeProblem, evaluate_truth
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,6 @@ class PairPolicy:
         return cls(kind="min_gap", gap=float(gap))
 
 
-_BASE_ORDERS = {"euler": 1, "heun": 2}
-
-
 def sample_measurements(
     problem: OdeProblem,
     interval: tuple[float, float],
@@ -105,6 +102,13 @@ def residual(x_i: float, x_j: float, z_i, z_j, problem: OdeProblem) -> np.ndarra
     return (z_j - z_i - dx * np.asarray(problem.rhs(x_i, z_i), float)) / (dx * dx)
 
 
+def _base_method(base: str) -> BaseMethod:
+    method = BASE_METHODS.get(base)
+    if method is None:
+        raise ConfigError(f"target: unknown base method {base!r}")
+    return method
+
+
 def stepper_residual(
     x_i: float,
     x_j: float,
@@ -117,12 +121,12 @@ def stepper_residual(
     dx = x_j - x_i
     if dx <= 0:
         raise BadPairOrder(f"x_j must exceed x_i, got {x_i} >= {x_j}")
-    if base == "euler":
+    method = _base_method(base)
+    if method is EULER:
+        # Euler keeps its own formula: the generic form rounds differently.
         return residual(x_i, x_j, z_i, z_j, problem)
-    if base == "heun":
-        pred = heun_step(problem, x_i, np.asarray(z_i, float), dx)
-        return (np.asarray(z_j, float) - pred) / dx**3
-    raise ConfigError(f"target: unknown base method {base!r}")
+    pred = method.step(problem, x_i, np.asarray(z_i, float), dx)
+    return (np.asarray(z_j, float) - pred) / dx**method.exponent
 
 
 def build_pairs(
@@ -132,8 +136,7 @@ def build_pairs(
     base: str = "euler",
 ) -> list[ResidualSample]:
     """All pairs with x_i < x_j passing the policy, as residual samples."""
-    if base not in _BASE_ORDERS:
-        raise ConfigError(f"target: unknown base method {base!r}")
+    method = _base_method(base)
     if len(measurements) < 2:
         raise TooFewPoints("need at least 2 measurements to form pairs")
     ms = sorted(measurements, key=lambda m: m.x)
@@ -148,7 +151,7 @@ def build_pairs(
     if len(idx_i) == 0:
         raise EmptyDataset("pair policy eliminated every pair")
 
-    if base == "euler":
+    if method is EULER:
         # One rhs evaluation per measurement, shared across its pairs.
         f_vals = np.stack([np.asarray(problem.rhs(m.x, m.z), float) for m in ms])
         targets = (zs[idx_j] - zs[idx_i] - gaps[:, None] * f_vals[idx_i]) / (

@@ -1,9 +1,10 @@
 """Corrected single-step integrators.
 
-A corrected step adds h^q times a correction term to a classical base step:
-Euler with q=2 (Deep Euler Method), Heun with q=3 (Deep Heun Method), or any
-p-order method with q=p+1. The correction comes from a trained network, from
-the true scaled truncation error (oracle), or is identically zero.
+A corrected step adds h^q times a correction term to the step of a base
+method from ``ode.BASE_METHODS``, with q = order + 1: Euler with q=2 (Deep
+Euler Method), Heun with q=3 (Deep Heun Method). The correction comes from a
+trained network, from the true scaled truncation error (oracle), or is
+identically zero.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import CorrectorShapeError, NonFiniteState, OrderMismatch
 from .mlp import MlpParams, forward_into
-from .ode import OdeProblem, StepSchedule, Trajectory, euler_step, flow, heun_step, solve_fixed
+from .ode import EULER, HEUN, BaseMethod, OdeProblem, StepSchedule, Trajectory, flow, solve_fixed
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,6 @@ class Corrector:
     kind: str
     order_exponent: int
     params: Optional[MlpParams] = None
-    flow_problem: Optional[OdeProblem] = None
     offset: float = 0.0
 
     def __post_init__(self):
@@ -49,14 +49,13 @@ class Corrector:
         order_exponent: int = 2,
         offset: float = 0.0,
     ) -> "Corrector":
+        """The true scaled truncation error. ``problem`` must have an exact
+        solution, but the oracle keeps nothing of it: a stepper it is bound to
+        integrates the local flow of the problem that stepper is bound to.
+        ``metrics.stability_scan`` relies on this to bind it to y' = lam*y."""
         if problem.exact is None:
             raise ValueError("oracle corrector needs a problem with an exact solution")
-        return cls(
-            kind="oracle",
-            order_exponent=order_exponent,
-            flow_problem=problem,
-            offset=offset,
-        )
+        return cls(kind="oracle", order_exponent=order_exponent, offset=offset)
 
     @classmethod
     def zero(cls, order_exponent: int = 2) -> "Corrector":
@@ -65,16 +64,15 @@ class Corrector:
 
 def corrected_step(
     problem: OdeProblem,
-    base_stepper,
-    base_order: int,
+    method: BaseMethod,
     corrector: Corrector,
     x: float,
     y: np.ndarray,
     h: float,
 ) -> np.ndarray:
-    """Base step of the given order plus h^(p+1) times the correction; a
+    """Step of the base method plus h^(order+1) times the correction; a
     non-finite y raises NonFiniteState."""
-    stepper = make_corrected_stepper(base_stepper, base_order, corrector, problem)
+    stepper = make_corrected_stepper(method, corrector, problem)
     if not np.isfinite(y).all():
         raise NonFiniteState(x)
     return stepper(problem, x, y, h)
@@ -82,24 +80,25 @@ def corrected_step(
 
 def dem_step(problem: OdeProblem, corrector: Corrector, x, y, h) -> np.ndarray:
     """Euler step corrected at second order in h."""
-    return corrected_step(problem, euler_step, 1, corrector, x, y, h)
+    return corrected_step(problem, EULER, corrector, x, y, h)
 
 
 def dhm_step(problem: OdeProblem, corrector: Corrector, x, y, h) -> np.ndarray:
     """Heun step corrected at third order in h."""
-    return corrected_step(problem, heun_step, 2, corrector, x, y, h)
+    return corrected_step(problem, HEUN, corrector, x, y, h)
 
 
-def make_corrected_stepper(
-    base_stepper, base_order: int, corrector: Corrector, problem: OdeProblem
-):
+def make_corrected_stepper(method: BaseMethod, corrector: Corrector, problem: OdeProblem):
     """Bind a corrector to a base method and a problem, checking the order and
     a network's shape once; the stepper returns base + h^q * correction. A
     network stepper reuses its buffers, so it serves one solve at a time, and
     does not check its state: a solve already has."""
     q = corrector.order_exponent
-    if q != base_order + 1:
-        raise OrderMismatch(f"corrector exponent {q} does not match base order {base_order} + 1")
+    if q != method.exponent:
+        raise OrderMismatch(
+            f"corrector exponent {q} does not match {method.name} order {method.order} + 1"
+        )
+    base_stepper = method.step
     if corrector.kind == "zero":
         return base_stepper
     if corrector.kind == "oracle":
@@ -138,7 +137,7 @@ def solve_dem(
     schedule: StepSchedule,
 ) -> Trajectory:
     """Integrate with the corrected Euler stepper over the schedule."""
-    return solve_fixed(problem, schedule, make_corrected_stepper(euler_step, 1, corrector, problem))
+    return solve_fixed(problem, schedule, make_corrected_stepper(EULER, corrector, problem))
 
 
 def solve_dhm(
@@ -147,4 +146,4 @@ def solve_dhm(
     schedule: StepSchedule,
 ) -> Trajectory:
     """Integrate with the corrected Heun stepper over the schedule."""
-    return solve_fixed(problem, schedule, make_corrected_stepper(heun_step, 2, corrector, problem))
+    return solve_fixed(problem, schedule, make_corrected_stepper(HEUN, corrector, problem))

@@ -2,10 +2,25 @@
 
 
 class DeepEulerError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; a configuration error unless a
+    subclass says otherwise. ``exit_code`` is the command line's exit status."""
+
+    exit_code = 2
 
 
-class NonFiniteState(DeepEulerError):
+class ShapeError(DeepEulerError):
+    """A dimension or shape that does not fit."""
+
+    exit_code = 3
+
+
+class NumericalError(DeepEulerError):
+    """A computation that produced no finite result."""
+
+    exit_code = 4
+
+
+class NonFiniteState(NumericalError):
     """A right-hand side evaluation produced NaN or infinity."""
 
     def __init__(self, x, step=None):
@@ -15,7 +30,7 @@ class NonFiniteState(DeepEulerError):
         super().__init__(f"non-finite state at {where}")
 
 
-class MinStepReached(DeepEulerError):
+class MinStepReached(NumericalError):
     """The adaptive reference solver could not shrink its step any further."""
 
 
@@ -23,19 +38,19 @@ class UnknownProblem(DeepEulerError):
     """Lookup of a problem name that is not in the registry."""
 
 
-class InvalidArchitecture(DeepEulerError):
+class InvalidArchitecture(ShapeError):
     """Layer widths that cannot form a valid network."""
 
 
-class InvalidInput(DeepEulerError):
+class InvalidInput(ShapeError):
     """Non-finite or wrongly shaped network input."""
 
 
-class EmptyBatch(DeepEulerError):
+class EmptyBatch(ShapeError):
     """loss_and_grad called with no samples."""
 
 
-class NonFiniteGradient(DeepEulerError):
+class NonFiniteGradient(NumericalError):
     """Optimizer update received NaN or infinite gradients."""
 
 
@@ -55,11 +70,11 @@ class EmptyDataset(DeepEulerError):
     """Pair selection policy eliminated every candidate pair."""
 
 
-class CorrectorShapeError(DeepEulerError):
+class CorrectorShapeError(ShapeError):
     """Corrector network dimensions do not match the problem."""
 
 
-class OrderMismatch(DeepEulerError):
+class OrderMismatch(ShapeError):
     """Corrector exponent does not equal base method order + 1."""
 
 

@@ -12,20 +12,15 @@ from .dataset import stepper_residual
 from .dem import Corrector, make_corrected_stepper
 from .errors import NonFiniteState
 from .mlp import forward_batch
-from .ode import OdeProblem, StepSchedule, Trajectory, euler_step, evaluate_truth, solve_fixed
-
-_BASE_BY_EXPONENT = {2: "euler", 3: "heun"}
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """One benchmark cell: worst deviation plus the network diagnostic."""
-
-    max_error: float
-    eps_mean: Optional[float]
-    ratio_to_baseline: Optional[float]
-    step_size: float
-    region: tuple[float, float]
+from .ode import (
+    BASE_METHODS,
+    EULER,
+    OdeProblem,
+    StepSchedule,
+    Trajectory,
+    evaluate_truth,
+    solve_fixed,
+)
 
 
 @dataclass(frozen=True)
@@ -64,14 +59,15 @@ def eps_series(
     """Per-step |network - residual| along the ground-truth trajectory.
 
     Returns (right endpoints x_{m+1}, component-sum gaps). The residual uses
-    the base method matching the corrector's exponent (2 -> Euler, 3 -> Heun)
+    the base method whose exponent is the corrector's (2 -> Euler, 3 -> Heun)
     and ground-truth states, not the corrected trajectory.
     """
     if corrector.kind != "network":
         raise ValueError("eps diagnostics are defined for network correctors")
-    base = _BASE_BY_EXPONENT.get(corrector.order_exponent)
+    q = corrector.order_exponent
+    base = next((name for name, m in BASE_METHODS.items() if m.exponent == q), None)
     if base is None:
-        raise ValueError(f"no base method for exponent {corrector.order_exponent}")
+        raise ValueError(f"no base method for exponent {q}")
     xs = schedule.mesh(*problem.domain)
     truth = evaluate_truth(problem, xs, rel_tol, abs_tol)
     inputs = np.column_stack((xs[:-1], xs[1:], truth[:-1]))
@@ -148,9 +144,11 @@ def stability_scan(
     hs = [float(h) for h in h_grid]
     if not (lam < 0 and all(h > 0 for h in hs)):
         raise ValueError("stability scan expects lam < 0 and positive step sizes")
+    if steps < 1 or not bound > 0:
+        raise ValueError(f"stability scan expects steps >= 1 and bound > 0, got {steps}, {bound}")
     problem = OdeProblem("linear_test", 1, lambda x, y: lam * y, (0.0, math.inf), np.ones(1))
     # Checks the order and the network shape; the oracle steps row by row.
-    stepper = make_corrected_stepper(euler_step, 1, corrector, problem)
+    stepper = make_corrected_stepper(EULER, corrector, problem)
     live, h, y = np.arange(len(hs)), np.array(hs), np.ones(len(hs))
     for m in range(steps):
         if not live.size:
@@ -165,7 +163,7 @@ def stability_scan(
                 y_next = y + h * (lam * y)
                 if corrector.kind == "network":
                     inputs = np.column_stack((x, x + h, y))
-                    y_next += h**2 * forward_batch(corrector.params, inputs)[:, 0]
+                    y_next += h**EULER.exponent * forward_batch(corrector.params, inputs)[:, 0]
             keep = np.isfinite(y_next) & (np.abs(y_next) <= bound)
         live, h, y = live[keep], h[keep], y_next[keep]
     bounded = np.zeros(len(hs), dtype=bool)

@@ -25,7 +25,6 @@ class OdeProblem:
 
     ``exact``, when present, is the closed-form solution used as ground
     truth; otherwise callers fall back to the adaptive reference solver.
-    ``lipschitz_hint`` is advisory metadata and is never enforced.
     """
 
     name: str
@@ -34,7 +33,6 @@ class OdeProblem:
     domain: tuple[float, float]
     initial: np.ndarray
     exact: Optional[Callable[[float], np.ndarray]] = None
-    lipschitz_hint: Optional[float] = None
 
     def __post_init__(self):
         a, b = self.domain
@@ -144,6 +142,29 @@ def heun_step(problem: OdeProblem, x: float, y: np.ndarray, h: float) -> np.ndar
     k1 = _eval_rhs(problem, x, y)
     k2 = _eval_rhs(problem, x + h, y + h * k1)
     return y + 0.5 * h * (k1 + k2)
+
+
+@dataclass(frozen=True)
+class BaseMethod:
+    """A classical single-step method of the given order. Its corrected form,
+    named ``corrected``, adds h^(order+1) times a correction to each step."""
+
+    name: str
+    step: Callable[[OdeProblem, float, np.ndarray, float], np.ndarray]
+    order: int
+    corrected: str
+
+    @property
+    def exponent(self) -> int:
+        """The power of h that scales the correction."""
+        return self.order + 1
+
+
+EULER = BaseMethod(name="euler", step=euler_step, order=1, corrected="dem")
+HEUN = BaseMethod(name="heun", step=heun_step, order=2, corrected="dhm")
+
+# Every base method, by name; a new base method is one more row here.
+BASE_METHODS = {m.name: m for m in (EULER, HEUN)}
 
 
 def solve_fixed(problem: OdeProblem, schedule: StepSchedule, stepper) -> Trajectory:
@@ -262,7 +283,6 @@ def _example1() -> OdeProblem:
         domain=(0.0, 10.0),
         initial=np.array([0.0]),
         exact=exact,
-        lipschitz_hint=1.5,
     )
 
 
@@ -296,7 +316,6 @@ def _kepler() -> OdeProblem:
         domain=(0.0, 20.0),
         initial=np.array([1.0, 0.0, 0.0, 1.0]),
         exact=exact,
-        lipschitz_hint=3.0,
     )
 
 

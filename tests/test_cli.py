@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from deep_euler import cli
 from deep_euler.cli import main
+from deep_euler.errors import DeepEulerError
 
 
 def run(*argv):
@@ -64,6 +66,18 @@ class TestTrain:
         cfg.write_text(json.dumps({"problem": "example1", "leraning_rate": 0.1}))
         assert run("train", "--config", cfg, "--out-dir", tmp_path) == 2
         assert "leraning_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"problem": ["x"]}, {"problem": "example1", "interval": [0, "5"]}],
+        ids=["problem_list", "interval_string"],
+    )
+    def test_malformed_config_value_exits_2(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run("train", "--config", cfg, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_zero_epochs_exits_2(self, tmp_path):
         assert (
@@ -216,11 +230,38 @@ class TestRejectedArguments:
             ["stability", "--lam", -5, "--h-grid", 0.1, "--checkpoint", "{missing}"],
             ["convergence", "--problem", "example1", "--method", "euler",
              "--h-list", 0.1, 0.05],
+            ["table2", "--num-seeds", 0, "--archs", "2x8", "--points-list", 10,
+             "--epochs", 1],
+            ["stability", "--h-grid", 0.1, "--steps", -3],
+            ["stability", "--h-grid", 0.1, "--bound", 0],
         ],
         ids=["h_zero", "h_longer_than_domain", "reversed_interval", "positive_lam",
-             "missing_checkpoint", "two_h_values"],
+             "missing_checkpoint", "two_h_values", "zero_seeds", "negative_steps",
+             "zero_bound"],
     )
     def test_exits_2(self, tmp_path, capsys, argv):
         argv = [str(a).format(missing=tmp_path / "missing.bin") for a in argv]
         assert run(*argv, "--out-dir", tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def error_classes(cls=DeepEulerError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from error_classes(sub)
+
+
+class TestExitCodes:
+    """Every toolkit error leaves main() as its class's exit code and one error line."""
+
+    @pytest.mark.parametrize("error", sorted(error_classes(), key=lambda c: c.__name__),
+                             ids=lambda c: c.__name__)
+    def test_error_exits_with_its_code(self, tmp_path, capsys, monkeypatch, error):
+        def fail(args):
+            raise error(0.5)
+
+        monkeypatch.setattr(cli, "cmd_stability", fail)
+        assert error.exit_code in (2, 3, 4)
+        assert run("stability", "--h-grid", 0.1, "--out-dir", tmp_path) == error.exit_code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -11,13 +11,27 @@ from deep_euler.dem import (
     corrected_step,
     dem_step,
     dhm_step,
+    make_corrected_stepper,
     solve_dem,
     solve_dhm,
 )
 from deep_euler.errors import CorrectorShapeError, NonFiniteState, OrderMismatch
 from deep_euler.metrics import max_abs_error
 from deep_euler.mlp import MlpParams, clip_weights, init
-from deep_euler.ode import OdeProblem, StepSchedule, euler_step, flow, heun_step, restrict
+from deep_euler.ode import (
+    BASE_METHODS,
+    EULER,
+    HEUN,
+    OdeProblem,
+    StepSchedule,
+    euler_step,
+    flow,
+    heun_step,
+    restrict,
+)
+
+# The named corrected steps, by corrected-method name.
+NAMED_STEPS = {"dem": dem_step, "dhm": dhm_step}
 
 
 @pytest.fixture
@@ -42,27 +56,18 @@ def constant_network(dim, value):
 
 
 class TestZeroCorrector:
-    def test_dem_reduces_to_euler_bitwise(self, problems, rng):
-        prob = problems["example1"]
-        zero = Corrector.zero(2)
-        for _ in range(10):
-            x = rng.uniform(0.0, 9.0)
-            y = rng.normal(size=1)
-            h = rng.uniform(0.01, 1.0)
-            assert np.array_equal(
-                dem_step(prob, zero, x, y, h), euler_step(prob, x, y, h)
-            )
-
-    def test_dhm_reduces_to_heun_bitwise(self, problems, rng):
-        prob = problems["kepler"]
-        zero = Corrector.zero(3)
-        for _ in range(10):
-            x = rng.uniform(0.0, 9.0)
-            y = rng.normal(size=4)
-            h = rng.uniform(0.01, 1.0)
-            assert np.array_equal(
-                dhm_step(prob, zero, x, y, h), heun_step(prob, x, y, h)
-            )
+    def test_reduces_to_base_method_bitwise(self, problems, rng):
+        for method in BASE_METHODS.values():
+            zero = Corrector.zero(method.exponent)
+            for prob in (problems["example1"], problems["kepler"]):
+                for _ in range(10):
+                    x = rng.uniform(0.0, 9.0)
+                    y = rng.normal(size=prob.dim)
+                    h = rng.uniform(0.01, 1.0)
+                    want = method.step(prob, x, y, h)
+                    assert np.array_equal(corrected_step(prob, method, zero, x, y, h), want)
+                    named = NAMED_STEPS[method.corrected]
+                    assert np.array_equal(named(prob, zero, x, y, h), want)
 
 
 class TestOracleCorrector:
@@ -73,8 +78,7 @@ class TestOracleCorrector:
 
     def test_generic_first_order_step_on_exponential(self, exp_problem):
         got = corrected_step(
-            exp_problem, euler_step, 1, Corrector.oracle(exp_problem, 2),
-            0.0, np.array([1.0]), 0.5,
+            exp_problem, EULER, Corrector.oracle(exp_problem, 2), 0.0, np.array([1.0]), 0.5
         )
         assert got[0] == pytest.approx(math.exp(0.5), abs=1e-12)
 
@@ -135,7 +139,7 @@ class TestGenericCorrectedStep:
             x, h = rng.uniform(0.0, 8.0), rng.uniform(0.01, 1.0)
             y = rng.normal(size=1)
             assert np.array_equal(
-                corrected_step(prob, euler_step, 1, corr, x, y, h),
+                corrected_step(prob, EULER, corr, x, y, h),
                 dem_step(prob, corr, x, y, h),
             )
 
@@ -146,17 +150,23 @@ class TestGenericCorrectedStep:
             x, h = rng.uniform(0.0, 8.0), rng.uniform(0.01, 1.0)
             y = rng.normal(size=4)
             assert np.array_equal(
-                corrected_step(prob, heun_step, 2, corr, x, y, h),
+                corrected_step(prob, HEUN, corr, x, y, h),
                 dhm_step(prob, corr, x, y, h),
             )
 
     def test_order_mismatch_rejected(self, exp_problem):
-        with pytest.raises(OrderMismatch):
-            corrected_step(
-                exp_problem, euler_step, 1, Corrector.zero(3), 0.0, np.array([1.0]), 0.1
-            )
+        for method in BASE_METHODS.values():
+            for q in {2, 3, 4} - {method.exponent}:
+                for corr in (Corrector.zero(q), Corrector.network(constant_network(1, 0.0), q)):
+                    with pytest.raises(OrderMismatch):
+                        corrected_step(exp_problem, method, corr, 0.0, np.array([1.0]), 0.1)
+                    with pytest.raises(OrderMismatch):
+                        make_corrected_stepper(method, corr, exp_problem)
         with pytest.raises(OrderMismatch):
             dhm_step(exp_problem, Corrector.zero(2), 0.0, np.array([1.0]), 0.1)
+        with pytest.raises(OrderMismatch):
+            solve_dhm(exp_problem, Corrector.network(constant_network(1, 0.0), 2),
+                      StepSchedule.uniform(0.5))
 
     def test_exponent_below_two_rejected(self):
         with pytest.raises(OrderMismatch):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from deep_euler.dem import Corrector, dem_step, make_corrected_stepper
 from deep_euler.errors import NonFiniteState
 from deep_euler.metrics import (
-    ErrorReport,
     convergence_order,
     eps_mean,
     eps_series,
@@ -19,6 +18,7 @@ from deep_euler.metrics import (
 )
 from deep_euler.mlp import MlpParams, clip_weights, init, lipschitz_bound
 from deep_euler.ode import (
+    EULER,
     OdeProblem,
     StepSchedule,
     Trajectory,
@@ -128,13 +128,6 @@ class TestEpsMean:
         with pytest.raises(ValueError):
             eps_mean(Corrector.zero(2), exp_problem, StepSchedule.uniform(0.1))
 
-    def test_error_report_fields(self):
-        report = ErrorReport(
-            max_error=0.1, eps_mean=0.01, ratio_to_baseline=0.003,
-            step_size=0.1, region=(0.0, 5.0),
-        )
-        assert report.max_error >= 0 and report.eps_mean >= 0
-
 
 class TestConvergenceOrder:
     def test_euler_is_first_order(self, exp_problem):
@@ -147,7 +140,7 @@ class TestConvergenceOrder:
         assert est.order == pytest.approx(2.0, abs=0.2)
 
     def test_oracle_corrected_stepper_is_degenerate(self, exp_problem):
-        stepper = make_corrected_stepper(euler_step, 1, Corrector.oracle(exp_problem, 2), exp_problem)
+        stepper = make_corrected_stepper(EULER, Corrector.oracle(exp_problem, 2), exp_problem)
         est = convergence_order(exp_problem, stepper, [0.1, 0.05, 0.025])
         assert est.degenerate
         assert est.order == math.inf
