@@ -56,18 +56,29 @@ def constant_network(dim, value):
 
 
 class TestZeroCorrector:
-    def test_reduces_to_base_method_bitwise(self, problems, rng):
-        for method in BASE_METHODS.values():
-            zero = Corrector.zero(method.exponent)
-            for prob in (problems["example1"], problems["kepler"]):
-                for _ in range(10):
-                    x = rng.uniform(0.0, 9.0)
-                    y = rng.normal(size=prob.dim)
-                    h = rng.uniform(0.01, 1.0)
-                    want = method.step(prob, x, y, h)
-                    assert np.array_equal(corrected_step(prob, method, zero, x, y, h), want)
-                    named = NAMED_STEPS[method.corrected]
-                    assert np.array_equal(named(prob, zero, x, y, h), want)
+    @staticmethod
+    def check_reduces_to_base(method, base_step, problems, rng):
+        """A zero corrector leaves the base step unchanged, bit for bit."""
+        assert method.step is base_step
+        zero = Corrector.zero(method.exponent)
+        named = NAMED_STEPS[method.corrected]
+        for prob in (problems["example1"], problems["kepler"]):
+            for _ in range(10):
+                x = rng.uniform(0.0, 9.0)
+                y = rng.normal(size=prob.dim)
+                h = rng.uniform(0.01, 1.0)
+                want = base_step(prob, x, y, h)
+                assert np.array_equal(named(prob, zero, x, y, h), want)
+                assert np.array_equal(corrected_step(prob, method, zero, x, y, h), want)
+
+    def test_dem_reduces_to_euler_bitwise(self, problems, rng):
+        self.check_reduces_to_base(EULER, euler_step, problems, rng)
+
+    def test_dhm_reduces_to_heun_bitwise(self, problems, rng):
+        self.check_reduces_to_base(HEUN, heun_step, problems, rng)
+
+    def test_method_table_has_only_euler_and_heun(self):
+        assert set(BASE_METHODS.values()) == {EULER, HEUN}
 
 
 class TestOracleCorrector:
