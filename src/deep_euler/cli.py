@@ -212,6 +212,9 @@ def _method_stepper(name: str, problem, checkpoint, oracle: bool = False):
     a base method)."""
     method = _METHODS[name]
     if name == method.name:
+        if oracle:
+            corrected = " or ".join(m.corrected for m in BASE_METHODS.values())
+            raise ConfigError(f"oracle: needs a corrected method ({corrected}), got {name}")
         return method.step, None
     if oracle:
         corrector = dem.Corrector.oracle(problem, method.exponent)
@@ -342,15 +345,20 @@ def cmd_table1(args) -> int:
 
 def _parse_arch(spec: str) -> tuple[int, int]:
     try:
-        layers, width = spec.lower().split("x")
-        return int(layers), int(width)
+        layers, width = (int(v) for v in spec.lower().split("x"))
     except ValueError:
         raise ConfigError(f"archs: expected LAYERSxWIDTH, got {spec!r}") from None
+    if layers < 1 or width < 1:
+        raise ConfigError(f"archs: layers and width must be >= 1, got {spec!r}")
+    return layers, width
 
 
 def cmd_table2(args) -> int:
     if args.num_seeds < 1:
         raise ConfigError(f"num_seeds: must be >= 1, got {args.num_seeds}")
+    # Every spec is checked before the first training.
+    archs = [(arch, *_parse_arch(arch)) for arch in args.archs]
+    cells = len(args.points_list) * len(archs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     problem = get_problem("example1")
@@ -360,8 +368,7 @@ def cmd_table2(args) -> int:
 
     rows = []
     for points in args.points_list:
-        for arch in args.archs:
-            layers, width = _parse_arch(arch)
+        for arch, layers, width in archs:
             eps_train, eps_test = [], []
             for run in range(args.num_seeds):
                 cfg = _train_config(
@@ -392,6 +399,11 @@ def cmd_table2(args) -> int:
                     eps_test.append(np.nan)
             rows.append(
                 (points, layers, width, float(np.mean(eps_train)), float(np.mean(eps_test)))
+            )
+            print(
+                f"cell {len(rows)}/{cells}: points={points} arch={arch} "
+                f"eps_train={rows[-1][3]:.6g} eps_test={rows[-1][4]:.6g}",
+                file=sys.stderr,
             )
 
     _write_csv(

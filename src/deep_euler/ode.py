@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
 
 from .errors import MinStepReached, NonFiniteState, UnknownProblem
 
@@ -121,10 +120,10 @@ class StepSchedule:
         raise ValueError(f"unknown schedule kind {self.kind!r}")
 
 
+# Overflow here is reported through NonFiniteState, not a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _eval_rhs(problem: OdeProblem, x: float, y: np.ndarray) -> np.ndarray:
-    # Overflow here is reported through NonFiniteState, not a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = np.asarray(problem.rhs(x, y), dtype=np.float64)
+    k = np.asarray(problem.rhs(x, y), dtype=np.float64)
     if k.shape != (problem.dim,):
         raise ValueError(f"rhs returned shape {k.shape}, expected ({problem.dim},)")
     if not np.isfinite(k).all():
@@ -204,6 +203,8 @@ def solve_reference(
         raise ValueError("query_points must lie within the problem domain")
     if q[-1] <= a:
         return Trajectory(q, np.tile(problem.initial, (len(q), 1)))
+    from scipy.integrate import solve_ivp  # imported here so only reference solves load scipy
+
     sol = solve_ivp(
         problem.rhs,
         (a, q[-1]),
@@ -233,6 +234,8 @@ def flow(
     """
     if x1 == x0:
         return np.asarray(y0, dtype=np.float64).copy()
+    from scipy.integrate import DOP853  # imported here so only oracle solves load scipy
+
     solver = DOP853(problem.rhs, x0, np.asarray(y0, float), x1, rtol=rel_tol, atol=abs_tol)
     while solver.status == "running":
         solver.step()

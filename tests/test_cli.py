@@ -164,7 +164,7 @@ class TestTables:
         assert np.allclose(rows[:, 6], rows[:, 3] / rows[:, 1], rtol=1e-12)
         assert (out / "model_dem.bin").exists() and (out / "model_dhm.bin").exists()
 
-    def test_table2_grid_and_seed_averaging(self, tmp_path):
+    def test_table2_grid_and_seed_averaging(self, tmp_path, capsys):
         out = tmp_path / "t2"
         assert run("table2", "--out-dir", out, "--archs", "2x8", "--points-list", 10, 25,
                    "--num-seeds", 2, "--epochs", 1) == 0
@@ -172,6 +172,24 @@ class TestTables:
         assert header == ["points", "hidden_layers", "hidden_width", "eps_train", "eps_test"]
         assert len(rows) == 2
         assert np.all(rows[:, 3] > 0) and np.all(rows[:, 4] > 0)
+        # One progress line per finished cell, on stderr only.
+        captured = capsys.readouterr()
+        assert "cell " not in captured.out
+        cells = [line for line in captured.err.splitlines() if line.startswith("cell ")]
+        assert cells == [
+            f"cell {i + 1}/2: points={int(row[0])} arch=2x8 "
+            f"eps_train={row[3]:.6g} eps_test={row[4]:.6g}"
+            for i, row in enumerate(rows)
+        ]
+
+    @pytest.mark.parametrize("bad", ["bogus", "2x0"])
+    def test_table2_checks_archs_before_training(self, tmp_path, capsys, monkeypatch, bad):
+        trainings = []
+        monkeypatch.setattr(cli, "_run_training", lambda cfg: trainings.append(cfg))
+        assert run("table2", "--out-dir", tmp_path, "--archs", "2x8", bad,
+                   "--points-list", 200, "--num-seeds", 3, "--epochs", 3) == 2
+        assert trainings == []
+        assert capsys.readouterr().err.startswith("error: archs: ")
 
     def test_table3_noise_grid(self, tmp_path):
         out = tmp_path / "t3"
@@ -234,10 +252,14 @@ class TestRejectedArguments:
              "--epochs", 1],
             ["stability", "--h-grid", 0.1, "--steps", -3],
             ["stability", "--h-grid", 0.1, "--bound", 0],
+            ["convergence", "--problem", "example1", "--method", "euler", "--oracle",
+             "--h-list", 0.1, 0.05, 0.025],
+            ["convergence", "--problem", "example1", "--method", "heun", "--oracle",
+             "--h-list", 0.1, 0.05, 0.025],
         ],
         ids=["h_zero", "h_longer_than_domain", "reversed_interval", "positive_lam",
              "missing_checkpoint", "two_h_values", "zero_seeds", "negative_steps",
-             "zero_bound"],
+             "zero_bound", "oracle_euler", "oracle_heun"],
     )
     def test_exits_2(self, tmp_path, capsys, argv):
         argv = [str(a).format(missing=tmp_path / "missing.bin") for a in argv]

@@ -1,6 +1,7 @@
 """Problems, fixed-step integrators, schedules, and the reference solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,25 @@ class TestSteppers:
         with pytest.raises(NonFiniteState) as exc:
             euler_step(prob, 0.75, np.array([0.0]), 0.1)
         assert exc.value.x == 0.75
+
+    @pytest.mark.parametrize("stepper", [euler_step, heun_step])
+    @pytest.mark.parametrize(
+        "rhs",
+        [
+            lambda x, y: y * y * 1e300,  # 1e320 overflows
+            lambda x, y: y * 1e300 * 1e300 - y * 1e300 * 1e300,  # inf - inf is invalid
+        ],
+        ids=["overflow", "invalid"],
+    )
+    def test_overflowing_rhs_raises_without_warning(self, stepper, rhs):
+        prob = scalar_problem(rhs, y0=1e10)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState) as exc:
+                stepper(prob, 0.25, np.array([1e10]), 0.1)
+        assert exc.value.x == 0.25
+        assert np.geterr() == before  # the error state is restored on the way out
 
 
 class TestSolveFixed:
