@@ -190,8 +190,9 @@ def _run_training(cfg: dict) -> tuple[mlp.MlpParams, list[float]]:
         dataset.NoiseSpec(cfg["noise_level"]),
         cfg["dataset_seed"],
     )
-    pairs = dataset.build_pairs(problem, measurements, _pair_policy_of(cfg), cfg["target"])
-    inputs, targets = dataset.stack_samples(pairs)
+    inputs, targets = dataset.build_pairs(
+        problem, measurements, _pair_policy_of(cfg), cfg["target"]
+    )
     widths = [problem.dim + 2] + [cfg["hidden_width"]] * cfg["hidden_layers"] + [problem.dim]
     return mlp.train(inputs, targets, widths, _train_config_of(cfg))
 
@@ -356,8 +357,11 @@ def _parse_arch(spec: str) -> tuple[int, int]:
 def cmd_table2(args) -> int:
     if args.num_seeds < 1:
         raise ConfigError(f"num_seeds: must be >= 1, got {args.num_seeds}")
-    # Every spec is checked before the first training.
+    # Every spec and point count is checked before the first training.
     archs = [(arch, *_parse_arch(arch)) for arch in args.archs]
+    too_few = [points for points in args.points_list if points < 2]
+    if too_few:
+        raise ConfigError(f"points_list: each value must be >= 2, got {too_few[0]}")
     cells = len(args.points_list) * len(archs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

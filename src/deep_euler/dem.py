@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CorrectorShapeError, NonFiniteState, OrderMismatch
+from .errors import CorrectorShapeError, OrderMismatch
 from .mlp import MlpParams, forward_into
 from .ode import EULER, HEUN, BaseMethod, OdeProblem, StepSchedule, Trajectory, flow, solve_fixed
 
@@ -60,32 +60,6 @@ class Corrector:
     @classmethod
     def zero(cls, order_exponent: int = 2) -> "Corrector":
         return cls(kind="zero", order_exponent=order_exponent)
-
-
-def corrected_step(
-    problem: OdeProblem,
-    method: BaseMethod,
-    corrector: Corrector,
-    x: float,
-    y: np.ndarray,
-    h: float,
-) -> np.ndarray:
-    """Step of the base method plus h^(order+1) times the correction; a
-    non-finite y raises NonFiniteState."""
-    stepper = make_corrected_stepper(method, corrector, problem)
-    if not np.isfinite(y).all():
-        raise NonFiniteState(x)
-    return stepper(problem, x, y, h)
-
-
-def dem_step(problem: OdeProblem, corrector: Corrector, x, y, h) -> np.ndarray:
-    """Euler step corrected at second order in h."""
-    return corrected_step(problem, EULER, corrector, x, y, h)
-
-
-def dhm_step(problem: OdeProblem, corrector: Corrector, x, y, h) -> np.ndarray:
-    """Heun step corrected at third order in h."""
-    return corrected_step(problem, HEUN, corrector, x, y, h)
 
 
 def make_corrected_stepper(method: BaseMethod, corrector: Corrector, problem: OdeProblem):

@@ -62,10 +62,6 @@ class TooFewPoints(DeepEulerError):
     """Measurement sampling needs at least two points."""
 
 
-class BadPairOrder(DeepEulerError):
-    """Residual requested for a pair with x_j <= x_i."""
-
-
 class EmptyDataset(DeepEulerError):
     """Pair selection policy eliminated every candidate pair."""
 

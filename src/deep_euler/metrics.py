@@ -8,7 +8,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import stepper_residual
 from .dem import Corrector, make_corrected_stepper
 from .errors import NonFiniteState
 from .mlp import forward_batch
@@ -19,6 +18,7 @@ from .ode import (
     StepSchedule,
     Trajectory,
     evaluate_truth,
+    scaled_defect,
     solve_fixed,
 )
 
@@ -58,27 +58,23 @@ def eps_series(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step |network - residual| along the ground-truth trajectory.
 
-    Returns (right endpoints x_{m+1}, component-sum gaps). The residual uses
-    the base method whose exponent is the corrector's (2 -> Euler, 3 -> Heun)
-    and ground-truth states, not the corrected trajectory.
+    Returns (right endpoints x_{m+1}, component-sum gaps). The residual is the
+    scaled defect of the base method whose exponent is the corrector's
+    (2 -> Euler, 3 -> Heun) between ground-truth states, not the corrected
+    trajectory.
     """
     if corrector.kind != "network":
         raise ValueError("eps diagnostics are defined for network correctors")
     q = corrector.order_exponent
-    base = next((name for name, m in BASE_METHODS.items() if m.exponent == q), None)
-    if base is None:
+    method = next((m for m in BASE_METHODS.values() if m.exponent == q), None)
+    if method is None:
         raise ValueError(f"no base method for exponent {q}")
     xs = schedule.mesh(*problem.domain)
     truth = evaluate_truth(problem, xs, rel_tol, abs_tol)
     inputs = np.column_stack((xs[:-1], xs[1:], truth[:-1]))
     n_vals = forward_batch(corrector.params, inputs)
-    r_vals = np.stack(
-        [
-            stepper_residual(xs[m], xs[m + 1], truth[m], truth[m + 1], problem, base)
-            for m in range(len(xs) - 1)
-        ]
-    )
-    return xs[1:], np.sum(np.abs(n_vals - r_vals), axis=1)
+    r_vals = scaled_defect(method, problem, xs[:-1], truth[:-1].T, xs[1:], truth[1:].T)
+    return xs[1:], np.sum(np.abs(n_vals - r_vals.T), axis=1)
 
 
 def eps_mean(

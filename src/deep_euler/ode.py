@@ -22,8 +22,11 @@ Rhs = Callable[[float, np.ndarray], np.ndarray]
 class OdeProblem:
     """First-order IVP y' = f(x, y) on [a, b] with y(a) = initial.
 
-    ``exact``, when present, is the closed-form solution used as ground
-    truth; otherwise callers fall back to the adaptive reference solver.
+    ``rhs(x, y)`` takes one state, a float x and y of shape (dim,), or a
+    batch laid out component-major, x of shape (B,) and y of shape (dim, B),
+    and returns f with the shape of y. ``exact``, when present, is the
+    closed-form solution used as ground truth; otherwise callers fall back to
+    the adaptive reference solver.
     """
 
     name: str
@@ -122,33 +125,47 @@ class StepSchedule:
 
 # Overflow here is reported through NonFiniteState, not a warning.
 @np.errstate(over="ignore", invalid="ignore")
-def _eval_rhs(problem: OdeProblem, x: float, y: np.ndarray) -> np.ndarray:
+def _eval_rhs(problem: OdeProblem, x, y: np.ndarray) -> np.ndarray:
     k = np.asarray(problem.rhs(x, y), dtype=np.float64)
-    if k.shape != (problem.dim,):
-        raise ValueError(f"rhs returned shape {k.shape}, expected ({problem.dim},)")
-    if not np.isfinite(k).all():
-        raise NonFiniteState(x)
+    if k.shape != y.shape:
+        raise ValueError(f"rhs returned shape {k.shape}, expected {y.shape}")
+    finite = np.isfinite(k)
+    if not finite.all():
+        # For a batch, the first abscissa whose column is not finite.
+        raise NonFiniteState(x if np.ndim(x) == 0 else x[~finite.all(axis=0)][0])
     return k
 
 
+def euler_increment(problem: OdeProblem, x, y: np.ndarray, h) -> np.ndarray:
+    """Forward Euler's increment: f(x, y)."""
+    return _eval_rhs(problem, x, y)
+
+
+def heun_increment(problem: OdeProblem, x, y: np.ndarray, h) -> np.ndarray:
+    """Heun's (explicit trapezoidal) increment: the mean of f at both ends."""
+    k1 = _eval_rhs(problem, x, y)
+    k2 = _eval_rhs(problem, x + h, y + h * k1)
+    return 0.5 * (k1 + k2)
+
+
 def euler_step(problem: OdeProblem, x: float, y: np.ndarray, h: float) -> np.ndarray:
-    """One forward Euler step: y + h*f(x, y)."""
-    return y + h * _eval_rhs(problem, x, y)
+    """One forward Euler step, first order."""
+    return y + h * euler_increment(problem, x, y, h)
 
 
 def heun_step(problem: OdeProblem, x: float, y: np.ndarray, h: float) -> np.ndarray:
-    """One Heun (explicit trapezoidal) step, second order."""
-    k1 = _eval_rhs(problem, x, y)
-    k2 = _eval_rhs(problem, x + h, y + h * k1)
-    return y + 0.5 * h * (k1 + k2)
+    """One Heun step, second order."""
+    return y + h * heun_increment(problem, x, y, h)
 
 
 @dataclass(frozen=True)
 class BaseMethod:
-    """A classical single-step method of the given order. Its corrected form,
-    named ``corrected``, adds h^(order+1) times a correction to each step."""
+    """A classical single-step method of the given order: ``step`` is
+    y + h * ``increment``. Its corrected form, named ``corrected``, adds
+    h^(order+1) times a correction to each step."""
 
     name: str
+    increment: Callable[[OdeProblem, float, np.ndarray, float], np.ndarray]
     step: Callable[[OdeProblem, float, np.ndarray, float], np.ndarray]
     order: int
     corrected: str
@@ -159,11 +176,20 @@ class BaseMethod:
         return self.order + 1
 
 
-EULER = BaseMethod(name="euler", step=euler_step, order=1, corrected="dem")
-HEUN = BaseMethod(name="heun", step=heun_step, order=2, corrected="dhm")
+EULER = BaseMethod("euler", euler_increment, euler_step, order=1, corrected="dem")
+HEUN = BaseMethod("heun", heun_increment, heun_step, order=2, corrected="dhm")
 
 # Every base method, by name; a new base method is one more row here.
 BASE_METHODS = {m.name: m for m in (EULER, HEUN)}
+
+
+def scaled_defect(method: BaseMethod, problem: OdeProblem, x_i, z_i, x_j, z_j) -> np.ndarray:
+    """The method's local truncation error from (x_i, z_i) to (x_j, z_j),
+    scaled by its correction exponent: (z_j - z_i - dx * increment) / dx^(p+1)
+    with dx = x_j - x_i. Takes a batch, abscissae of shape (B,) and states
+    of shape (dim, B), and returns (dim, B)."""
+    dx = x_j - x_i
+    return (z_j - z_i - dx * method.increment(problem, x_i, z_i, dx)) / dx**method.exponent
 
 
 def solve_fixed(problem: OdeProblem, schedule: StepSchedule, stepper) -> Trajectory:
@@ -274,7 +300,7 @@ def restrict(
 
 def _example1() -> OdeProblem:
     def rhs(x, y):
-        return 1.5 * y / (x + 1.0) + np.array([math.sqrt(x + 1.0)])
+        return 1.5 * y / (x + 1.0) + np.sqrt(x + 1.0)
 
     def exact(x):
         return np.array([(x + 1.0) ** 1.5 * math.log(x + 1.0)])

@@ -191,6 +191,15 @@ class TestTables:
         assert trainings == []
         assert capsys.readouterr().err.startswith("error: archs: ")
 
+    @pytest.mark.parametrize("points", [[10, 1], [0, 10], [10, 25, -3]])
+    def test_table2_checks_points_before_training(self, tmp_path, capsys, monkeypatch, points):
+        trainings = []
+        monkeypatch.setattr(cli, "_run_training", lambda cfg: trainings.append(cfg))
+        assert run("table2", "--out-dir", tmp_path, "--archs", "2x8",
+                   "--points-list", *points, "--num-seeds", 1, "--epochs", 1) == 2
+        assert trainings == []
+        assert capsys.readouterr().err.startswith("error: points_list: ")
+
     def test_table3_noise_grid(self, tmp_path):
         out = tmp_path / "t3"
         assert run("table3", "--out-dir", out, "--noise-levels", 0.0, 0.05,

@@ -1,25 +1,33 @@
-"""Measurement sampling, residual targets, pair building, split, export."""
+"""Measurement sampling, scaled-defect targets and pair building."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deep_euler.dataset import (
     Measurement,
     NoiseSpec,
     PairPolicy,
     build_pairs,
-    export_samples,
-    load_samples,
-    residual,
     sample_measurements,
-    split,
     stack_samples,
-    stepper_residual,
 )
-from deep_euler.errors import BadPairOrder, ConfigError, EmptyDataset, TooFewPoints
-from deep_euler.ode import OdeProblem, get_problem
+from deep_euler.dem import Corrector
+from deep_euler.errors import ConfigError, EmptyDataset, NonFiniteState, TooFewPoints
+from deep_euler.metrics import eps_series
+from deep_euler.mlp import init
+from deep_euler.ode import (
+    BASE_METHODS,
+    EULER,
+    HEUN,
+    OdeProblem,
+    StepSchedule,
+    get_problem,
+    scaled_defect,
+)
 
 
 def scalar_problem(rhs, domain=(0.0, 10.0), y0=0.0, exact=None):
@@ -39,6 +47,29 @@ def exp_problem():
 
 def measurements_at(xs, zs):
     return [Measurement(float(x), np.atleast_1d(np.asarray(z, float))) for x, z in zip(xs, zs)]
+
+
+def one_defect(method, problem, x_i, x_j, z_i, z_j):
+    """``scaled_defect`` on a batch of one pair."""
+    z_i, z_j = np.atleast_1d(np.asarray(z_i, float)), np.atleast_1d(np.asarray(z_j, float))
+    return scaled_defect(
+        method, problem, np.array([x_i]), z_i[:, None], np.array([x_j]), z_j[:, None]
+    )[:, 0]
+
+
+def scalar_increment(problem, base, x, z, dx):
+    """Oracle: the base method's increment from single-state rhs calls."""
+    k1 = np.asarray(problem.rhs(x, z), float)
+    if base == "euler":
+        return k1
+    return 0.5 * (k1 + np.asarray(problem.rhs(x + dx, z + dx * k1), float))
+
+
+def scalar_defect(problem, base, x_i, x_j, z_i, z_j):
+    """Oracle: (z_j - z_i - dx * increment) / dx^(p+1) for one pair."""
+    dx = x_j - x_i
+    scale = dx * dx if base == "euler" else dx * dx * dx
+    return (z_j - z_i - dx * scalar_increment(problem, base, x_i, z_i, dx)) / scale
 
 
 class TestSampling:
@@ -85,13 +116,13 @@ class TestSampling:
 
 class TestResidual:
     def test_zero_on_linear_data_with_matching_slope(self):
-        prob = scalar_problem(lambda x, y: np.ones(1))
-        for x_i, x_j in ((0.0, 1.0), (0.3, 2.7), (5.0, 9.0)):
-            r = residual(x_i, x_j, np.array([x_i]), np.array([x_j]), prob)
-            assert r[0] == 0.0
+        prob = scalar_problem(lambda x, y: np.ones_like(y))
+        x_i, x_j = np.array([0.0, 0.3, 5.0]), np.array([1.0, 2.7, 9.0])
+        r = scaled_defect(EULER, prob, x_i, x_i[None, :], x_j, x_j[None, :])
+        assert np.array_equal(r, np.zeros((1, 3)))
 
     def test_exponential_pair_value(self, exp_problem):
-        r = residual(0.0, 1.0, np.array([1.0]), np.array([math.e]), exp_problem)
+        r = one_defect(EULER, exp_problem, 0.0, 1.0, 1.0, math.e)
         assert r[0] == pytest.approx(math.e - 2.0, rel=1e-14)
 
     def test_example1_pair_matches_direct_formula(self, problems):
@@ -101,21 +132,15 @@ class TestResidual:
         y = lambda x: (x + 1.0) ** 1.5 * math.log(x + 1.0)
         f_i = 1.5 * y(x_i) / (x_i + 1.0) + math.sqrt(x_i + 1.0)
         expected = (y(x_j) - y(x_i) - (x_j - x_i) * f_i) / (x_j - x_i) ** 2
-        got = residual(x_i, x_j, np.array([y(x_i)]), np.array([y(x_j)]), prob)
+        got = one_defect(EULER, prob, x_i, x_j, y(x_i), y(x_j))
         assert got[0] == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_unordered_pair(self, exp_problem):
-        with pytest.raises(BadPairOrder):
-            residual(1.0, 1.0, np.array([1.0]), np.array([1.0]), exp_problem)
-        with pytest.raises(BadPairOrder):
-            residual(2.0, 1.0, np.array([1.0]), np.array([1.0]), exp_problem)
 
     @pytest.mark.parametrize("dx", [1e-2, 1e-3, 1e-4])
     def test_small_gap_limit_is_half_second_derivative(self, exp_problem, dx):
         # For y' = y the residual tends to y''/2 = y/2 as the gap shrinks.
         x_i = 0.7
         y_i = math.exp(x_i)
-        r = residual(x_i, x_i + dx, np.array([y_i]), np.array([math.exp(x_i + dx)]), exp_problem)
+        r = one_defect(EULER, exp_problem, x_i, x_i + dx, y_i, math.exp(x_i + dx))
         assert abs(r[0] - y_i / 2.0) <= 0.2 * y_i * dx
 
     def test_heun_target_uses_cubic_scaling(self, exp_problem):
@@ -124,45 +149,53 @@ class TestResidual:
         z_i, z_j = math.exp(x_i), math.exp(x_i + dx)
         heun_pred = z_i * (1.0 + dx + 0.5 * dx * dx)
         expected = (z_j - heun_pred) / dx**3
-        got = stepper_residual(x_i, x_i + dx, np.array([z_i]), np.array([z_j]), exp_problem, "heun")
+        got = one_defect(HEUN, exp_problem, x_i, x_i + dx, z_i, z_j)
         assert got[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestBuildPairs:
     def test_all_pairs_count_three_points(self, exp_problem):
         ms = measurements_at([0.0, 1.0, 2.0], [1.0, math.e, math.e**2])
-        samples = build_pairs(exp_problem, ms, PairPolicy.all_pairs())
-        assert len(samples) == 3
+        inputs, targets = build_pairs(exp_problem, ms, PairPolicy.all_pairs())
+        assert inputs.shape == (3, 3) and targets.shape == (3, 1)
 
     def test_min_gap_filter(self, exp_problem):
         ms = measurements_at([0.0, 1.0, 5.0], [1.0, 2.0, 3.0])
-        samples = build_pairs(exp_problem, ms, PairPolicy.min_gap(2.0))
-        gaps = sorted(s.gap for s in samples)
-        assert gaps == [4.0, 5.0]
+        inputs, _ = build_pairs(exp_problem, ms, PairPolicy.min_gap(2.0))
+        assert sorted(inputs[:, 1] - inputs[:, 0]) == [4.0, 5.0]
 
     def test_full_benchmark_pair_count(self, problems):
         prob = problems["example1"]
         ms = sample_measurements(prob, (0.0, 5.0), 200, NoiseSpec(0.0), seed=0)
-        samples = build_pairs(prob, ms, PairPolicy.all_pairs())
-        assert len(samples) == 200 * 199 // 2
+        inputs, targets = build_pairs(prob, ms, PairPolicy.all_pairs())
+        assert len(inputs) == len(targets) == 200 * 199 // 2
+        stacked = stack_samples((inputs, targets))
+        assert stacked[0] is inputs and stacked[1] is targets
 
     def test_inputs_are_x_i_x_j_z_i(self, exp_problem):
         ms = measurements_at([0.0, 1.0], [1.0, math.e])
-        (sample,) = build_pairs(exp_problem, ms, PairPolicy.all_pairs())
-        assert np.allclose(sample.input, [0.0, 1.0, 1.0])
-        assert sample.gap == 1.0
-        assert sample.target[0] == pytest.approx(math.e - 2.0, rel=1e-12)
+        inputs, targets = build_pairs(exp_problem, ms, PairPolicy.all_pairs())
+        assert np.allclose(inputs, [[0.0, 1.0, 1.0]])
+        assert targets[0, 0] == pytest.approx(math.e - 2.0, rel=1e-12)
 
     def test_targets_match_scalar_residual(self, problems):
         prob = problems["kepler"]
         ms = sample_measurements(prob, (0.0, 5.0), 8, NoiseSpec(0.0), seed=2)
-        samples = build_pairs(prob, ms, PairPolicy.all_pairs())
-        by_gap = {s.gap: s for s in samples}
-        for s in list(by_gap.values())[:5]:
-            x_i, x_j = s.input[0], s.input[1]
-            z_i = s.input[2:]
+        inputs, targets = build_pairs(prob, ms, PairPolicy.all_pairs())
+        for row, target in zip(inputs, targets):
+            x_i, x_j, z_i = row[0], row[1], row[2:]
             z_j = next(m.z for m in ms if m.x == x_j)
-            assert np.allclose(s.target, residual(x_i, x_j, z_i, z_j, prob), rtol=1e-12)
+            assert np.allclose(target, scalar_defect(prob, "euler", x_i, x_j, z_i, z_j), rtol=1e-12)
+
+    def test_non_finite_rhs_names_the_first_bad_abscissa(self):
+        # The field is infinite from x = 2 on; pairs are ordered by (i, j),
+        # so the first bad column starts at the third measurement, x = 2.
+        prob = scalar_problem(lambda x, y: np.where(x >= 2.0, np.inf, 1.0) + 0.0 * y)
+        ms = measurements_at([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(NonFiniteState) as info:
+            build_pairs(prob, ms, PairPolicy.all_pairs())
+        assert info.value.x == 2.0
+        assert str(info.value) == "non-finite state at x=2.0"
 
     def test_policy_eliminating_everything(self, exp_problem):
         ms = measurements_at([0.0, 1.0], [1.0, 2.0])
@@ -170,48 +203,78 @@ class TestBuildPairs:
             build_pairs(exp_problem, ms, PairPolicy.min_gap(10.0))
 
 
-class TestSplit:
-    def test_half_split_on_ten(self, exp_problem):
-        ms = measurements_at(np.arange(5.0), np.arange(5.0))
-        samples = build_pairs(exp_problem, ms, PairPolicy.all_pairs())
-        train, val = split(samples, 0.5, seed=0)
-        assert len(train) == 5 and len(val) == 5
-
-    def test_same_seed_same_split(self, exp_problem):
-        ms = measurements_at(np.arange(6.0), np.ones(6))
-        samples = build_pairs(exp_problem, ms, PairPolicy.all_pairs())
-        a = split(samples, 0.3, seed=4)
-        b = split(samples, 0.3, seed=4)
-        assert [id(s) for s in a[0]] == [id(s) for s in b[0]]
-
-    def test_union_preserves_samples(self, exp_problem):
-        ms = measurements_at(np.arange(6.0), np.ones(6))
-        samples = build_pairs(exp_problem, ms, PairPolicy.all_pairs())
-        train, val = split(samples, 0.4, seed=1)
-        assert sorted(id(s) for s in train + val) == sorted(id(s) for s in samples)
+@st.composite
+def measured(draw, names=("example1", "lotka_volterra", "kepler")):
+    """A built-in problem and 2-12 measurements at distinct grid abscissae
+    (gaps at least a thousandth of the domain), with states in [0.25, 3] so
+    that kepler's positions keep away from its singularity at the origin."""
+    problem = get_problem(draw(st.sampled_from(names)))
+    a, b = problem.domain
+    ticks = draw(st.lists(st.integers(0, 1000), min_size=2, max_size=12, unique=True))
+    xs = [a + (b - a) * t / 1000 for t in ticks]
+    states = st.lists(st.floats(0.25, 3.0), min_size=problem.dim, max_size=problem.dim)
+    return problem, measurements_at(xs, [draw(states) for _ in xs])
 
 
-class TestExport:
-    def test_round_trip_is_lossless(self, tmp_path, problems):
-        prob = problems["lotka_volterra"]
-        ms = sample_measurements(prob, (0.0, 10.0), 12, NoiseSpec(0.01), seed=9)
-        samples = build_pairs(prob, ms, PairPolicy.all_pairs())
-        path = tmp_path / "pairs.csv"
-        export_samples(samples, path)
-        loaded = load_samples(path)
-        assert len(loaded) == len(samples)
-        x0, y0 = stack_samples(samples)
-        x1, y1 = stack_samples(loaded)
-        assert np.array_equal(x0, x1)
-        assert np.array_equal(y0, y1)
+class TestPairProperties:
+    """Invariants of pair building, checked against the per-pair scalar oracle."""
 
-    def test_header_names_components(self, tmp_path, problems):
-        prob = problems["kepler"]
-        ms = sample_measurements(prob, (0.0, 5.0), 3, NoiseSpec(0.0), seed=0)
-        samples = build_pairs(prob, ms, PairPolicy.all_pairs())
-        path = tmp_path / "pairs.csv"
-        export_samples(samples, path)
-        header = path.read_text().splitlines()[0].split(",")
-        assert header[:2] == ["x_i", "x_j"]
-        assert header[2:6] == ["z_1", "z_2", "z_3", "z_4"]
-        assert header[6:] == ["target_1", "target_2", "target_3", "target_4"]
+    @settings(max_examples=60, deadline=None)
+    @given(case=measured(), base=st.sampled_from(sorted(BASE_METHODS)))
+    def test_targets_equal_scalar_oracle(self, case, base):
+        problem, ms = case
+        inputs, targets = build_pairs(problem, ms, PairPolicy.all_pairs(), base)
+        n = len(ms)
+        assert inputs.shape == (n * (n - 1) // 2, problem.dim + 2)
+        assert targets.shape == (len(inputs), problem.dim)
+        by_x = {m.x: m.z for m in ms}
+        for row, target in zip(inputs, targets):
+            x_i, x_j, z_i = row[0], row[1], row[2:]
+            z_j = by_x[x_j]
+            assert np.array_equal(z_i, by_x[x_i])
+            want = scalar_defect(problem, base, x_i, x_j, z_i, z_j)
+            if base == "euler" and problem.name != "kepler":
+                assert target.tobytes() == want.tobytes()
+                continue
+            # Kepler's r^1.5 and Heun's dx^3 round differently on arrays:
+            # allow a few hundred ulps of each term of the numerator,
+            # magnified by 1/dx^(p+1). With positive states Heun's predicted
+            # position stays off kepler's singularity, which bounds how far
+            # a rounding difference in k1 can move k2.
+            dx = x_j - x_i
+            step = np.abs(dx * scalar_increment(problem, base, x_i, z_i, dx))
+            terms = np.abs(z_i) + np.abs(z_j) + step
+            tol = 256 * np.finfo(float).eps * terms / dx ** BASE_METHODS[base].exponent
+            assert np.all(np.abs(target - want) <= tol), (target, want, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=measured(), gap=st.floats(0.0, 10.0))
+    def test_min_gap_keeps_exactly_the_wide_pairs(self, case, gap):
+        problem, ms = case
+        everything, all_targets = build_pairs(problem, ms, PairPolicy.all_pairs())
+        wide = everything[:, 1] - everything[:, 0] >= gap
+        if not wide.any():
+            with pytest.raises(EmptyDataset):
+                build_pairs(problem, ms, PairPolicy.min_gap(gap))
+            return
+        inputs, targets = build_pairs(problem, ms, PairPolicy.min_gap(gap))
+        assert np.array_equal(inputs, everything[wide])
+        assert np.array_equal(targets, all_targets[wide])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        count=st.integers(2, 6),
+        base=st.sampled_from(sorted(BASE_METHODS)),
+    )
+    def test_rhs_that_ignores_the_batch_is_refused(self, dim, count, base):
+        constant = np.arange(1.0, dim + 1.0)
+        prob = OdeProblem(name="unbatched", dim=dim, rhs=lambda x, y: constant.copy(),
+                          domain=(0.0, 1.0), initial=np.zeros(dim),
+                          exact=lambda x: np.zeros(dim))
+        ms = measurements_at(np.linspace(0.0, 1.0, count), np.ones((count, dim)))
+        with pytest.raises(ValueError, match="rhs returned shape"):
+            build_pairs(prob, ms, PairPolicy.all_pairs(), base)
+        corr = Corrector.network(init([dim + 2, 4, dim], seed=0), BASE_METHODS[base].exponent)
+        with pytest.raises(ValueError, match="rhs returned shape"):
+            eps_series(corr, prob, StepSchedule.uniform(0.25))

@@ -2,19 +2,12 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from deep_euler.dem import (
-    Corrector,
-    corrected_step,
-    dem_step,
-    dhm_step,
-    make_corrected_stepper,
-    solve_dem,
-    solve_dhm,
-)
+from deep_euler.dem import Corrector, make_corrected_stepper, solve_dem, solve_dhm
 from deep_euler.errors import CorrectorShapeError, NonFiniteState, OrderMismatch
 from deep_euler.metrics import max_abs_error
 from deep_euler.mlp import MlpParams, clip_weights, init
@@ -30,8 +23,9 @@ from deep_euler.ode import (
     restrict,
 )
 
-# The named corrected steps, by corrected-method name.
-NAMED_STEPS = {"dem": dem_step, "dhm": dhm_step}
+def step_once(method, problem, corrector, x, y, h):
+    """One corrected step of ``method`` from (x, y), through a freshly bound stepper."""
+    return make_corrected_stepper(method, corrector, problem)(problem, x, y, h)
 
 
 @pytest.fixture
@@ -61,15 +55,15 @@ class TestZeroCorrector:
         """A zero corrector leaves the base step unchanged, bit for bit."""
         assert method.step is base_step
         zero = Corrector.zero(method.exponent)
-        named = NAMED_STEPS[method.corrected]
         for prob in (problems["example1"], problems["kepler"]):
+            stepper = make_corrected_stepper(method, zero, prob)
             for _ in range(10):
                 x = rng.uniform(0.0, 9.0)
                 y = rng.normal(size=prob.dim)
                 h = rng.uniform(0.01, 1.0)
                 want = base_step(prob, x, y, h)
-                assert np.array_equal(named(prob, zero, x, y, h), want)
-                assert np.array_equal(corrected_step(prob, method, zero, x, y, h), want)
+                assert np.array_equal(stepper(prob, x, y, h), want)
+                assert np.array_equal(y + h * method.increment(prob, x, y, h), want)
 
     def test_dem_reduces_to_euler_bitwise(self, problems, rng):
         self.check_reduces_to_base(EULER, euler_step, problems, rng)
@@ -84,18 +78,18 @@ class TestZeroCorrector:
 class TestOracleCorrector:
     def test_single_step_reproduces_exact_value(self, problems):
         prob = problems["example1"]
-        y1 = dem_step(prob, Corrector.oracle(prob, 2), 0.0, np.array([0.0]), 1.0)
+        y1 = step_once(EULER, prob, Corrector.oracle(prob, 2), 0.0, np.array([0.0]), 1.0)
         assert y1[0] == pytest.approx(2.0**1.5 * math.log(2.0), abs=1e-12)
 
     def test_generic_first_order_step_on_exponential(self, exp_problem):
-        got = corrected_step(
-            exp_problem, EULER, Corrector.oracle(exp_problem, 2), 0.0, np.array([1.0]), 0.5
+        got = step_once(
+            EULER, exp_problem, Corrector.oracle(exp_problem, 2), 0.0, np.array([1.0]), 0.5
         )
         assert got[0] == pytest.approx(math.exp(0.5), abs=1e-12)
 
     def test_heun_variant_reproduces_exact_step(self, problems):
         prob = problems["kepler"]
-        y1 = dhm_step(prob, Corrector.oracle(prob, 3), 0.0, prob.initial, 0.5)
+        y1 = step_once(HEUN, prob, Corrector.oracle(prob, 3), 0.0, prob.initial, 0.5)
         assert np.allclose(y1, prob.exact(0.5), atol=1e-12)
 
     def test_full_solve_stays_on_exact_trajectory(self, problems):
@@ -108,10 +102,10 @@ class TestOracleCorrector:
             Corrector.oracle(problems["lotka_volterra"], 2)
 
     def test_offset_injects_known_error(self, exp_problem):
-        plain = dem_step(exp_problem, Corrector.oracle(exp_problem, 2), 0.0, np.array([1.0]), 0.5)
-        shifted = dem_step(
-            exp_problem, Corrector.oracle(exp_problem, 2, offset=0.01), 0.0, np.array([1.0]), 0.5
-        )
+        corr = Corrector.oracle(exp_problem, 2)
+        plain = step_once(EULER, exp_problem, corr, 0.0, np.array([1.0]), 0.5)
+        corr = Corrector.oracle(exp_problem, 2, offset=0.01)
+        shifted = step_once(EULER, exp_problem, corr, 0.0, np.array([1.0]), 0.5)
         assert shifted[0] - plain[0] == pytest.approx(0.01 * 0.25, rel=1e-12)
 
 
@@ -119,13 +113,13 @@ class TestNetworkCorrector:
     def test_constant_network_adds_h_squared_times_value(self, exp_problem):
         corr = Corrector.network(constant_network(1, 2.0), 2)
         y, h = np.array([1.0]), 0.25
-        got = dem_step(exp_problem, corr, 0.0, y, h)
+        got = step_once(EULER, exp_problem, corr, 0.0, y, h)
         assert got[0] == pytest.approx(euler_step(exp_problem, 0.0, y, h)[0] + h * h * 2.0)
 
     def test_shape_mismatch_rejected(self, problems):
         corr = Corrector.network(init([3, 8, 1], seed=0), 2)  # fits dim 1, not 4
         with pytest.raises(CorrectorShapeError):
-            dem_step(problems["kepler"], corr, 0.0, problems["kepler"].initial, 0.1)
+            step_once(EULER, problems["kepler"], corr, 0.0, problems["kepler"].initial, 0.1)
 
     def test_network_receives_x_xnext_y(self, problems):
         # Weight rows pick out individual inputs, making the wiring visible.
@@ -134,47 +128,41 @@ class TestNetworkCorrector:
         params = MlpParams((3, 1), (w,), (np.zeros(1),))
         h = 0.5
         base = euler_step(prob, 2.0, np.array([3.0]), h)
-        got = dem_step(prob, Corrector.network(params, 2), 2.0, np.array([3.0]), h)
+        got = step_once(EULER, prob, Corrector.network(params, 2), 2.0, np.array([3.0]), h)
         assert got[0] == pytest.approx(base[0] + h * h * 2.0)  # picks x
         w2 = np.array([[0.0, 1.0, 0.0]])
         params2 = MlpParams((3, 1), (w2,), (np.zeros(1),))
-        got2 = dem_step(prob, Corrector.network(params2, 2), 2.0, np.array([3.0]), h)
+        got2 = step_once(EULER, prob, Corrector.network(params2, 2), 2.0, np.array([3.0]), h)
         assert got2[0] == pytest.approx(base[0] + h * h * 2.5)  # picks x + h
 
 
 class TestGenericCorrectedStep:
-    def test_first_order_instance_equals_dem_bitwise(self, problems, rng):
-        prob = problems["example1"]
-        corr = Corrector.network(constant_network(1, 0.7), 2)
+    @staticmethod
+    def check_one_step_solve(method, solve, prob, corr, rng):
+        """A stepper bound to ``method`` takes the step that ``solve`` takes
+        over a one-step mesh, bit for bit."""
+        stepper = make_corrected_stepper(method, corr, prob)
         for _ in range(5):
             x, h = rng.uniform(0.0, 8.0), rng.uniform(0.01, 1.0)
-            y = rng.normal(size=1)
-            assert np.array_equal(
-                corrected_step(prob, EULER, corr, x, y, h),
-                dem_step(prob, corr, x, y, h),
-            )
+            y = rng.normal(size=prob.dim)
+            one_step = replace(prob, domain=(x, x + h), initial=y, exact=None)
+            traj = solve(one_step, corr, StepSchedule.explicit([x, x + h]))
+            assert np.array_equal(stepper(prob, x, y, traj.xs[1] - x), traj.ys[1])
+
+    def test_first_order_instance_equals_dem_bitwise(self, problems, rng):
+        corr = Corrector.network(constant_network(1, 0.7), 2)
+        self.check_one_step_solve(EULER, solve_dem, problems["example1"], corr, rng)
 
     def test_second_order_instance_equals_dhm_bitwise(self, problems, rng):
-        prob = problems["kepler"]
         corr = Corrector.network(constant_network(4, -0.3), 3)
-        for _ in range(5):
-            x, h = rng.uniform(0.0, 8.0), rng.uniform(0.01, 1.0)
-            y = rng.normal(size=4)
-            assert np.array_equal(
-                corrected_step(prob, HEUN, corr, x, y, h),
-                dhm_step(prob, corr, x, y, h),
-            )
+        self.check_one_step_solve(HEUN, solve_dhm, problems["kepler"], corr, rng)
 
     def test_order_mismatch_rejected(self, exp_problem):
         for method in BASE_METHODS.values():
             for q in {2, 3, 4} - {method.exponent}:
                 for corr in (Corrector.zero(q), Corrector.network(constant_network(1, 0.0), q)):
                     with pytest.raises(OrderMismatch):
-                        corrected_step(exp_problem, method, corr, 0.0, np.array([1.0]), 0.1)
-                    with pytest.raises(OrderMismatch):
                         make_corrected_stepper(method, corr, exp_problem)
-        with pytest.raises(OrderMismatch):
-            dhm_step(exp_problem, Corrector.zero(2), 0.0, np.array([1.0]), 0.1)
         with pytest.raises(OrderMismatch):
             solve_dhm(exp_problem, Corrector.network(constant_network(1, 0.0), 2),
                       StepSchedule.uniform(0.5))
@@ -190,7 +178,7 @@ class TestSolveLoops:
         traj = solve_dem(exp_problem, corr, StepSchedule.uniform(0.25))
         y = exp_problem.initial
         for m in range(4):
-            y = dem_step(exp_problem, corr, 0.25 * m, y, 0.25)
+            y = step_once(EULER, exp_problem, corr, 0.25 * m, y, 0.25)
             assert np.array_equal(traj.ys[m + 1], y)
 
     def test_solve_dhm_on_restricted_interval(self, problems):
@@ -277,23 +265,14 @@ class TestBoundPathBitwise:
         prob = problems["example1"]
         q = 2 if method == "dem" else 3
         corr = Corrector.network(clipped_net(EX1_NET, seed=7), q)
-        step, base = (dem_step, euler_step) if method == "dem" else (dhm_step, heun_step)
+        step, base = (EULER, euler_step) if method == "dem" else (HEUN, heun_step)
         for _ in range(20):
             x, h = rng.uniform(0.0, 9.0), rng.uniform(0.01, 1.0)
             y = rng.normal(size=1)
             want = base(prob, x, y, h) + h**q * reference_forward(
                 corr.params, np.concatenate(([x, x + h], y))
             )
-            assert step(prob, corr, x, y, h).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_direct_step_rejects_non_finite_state(self, bad):
-        # The right-hand side ignores y, so only the state check can see it.
-        prob = OdeProblem(name="drift", dim=1, rhs=lambda x, y: np.ones(1), domain=(0.0, 1.0),
-                          initial=np.zeros(1))
-        corr = Corrector.network(clipped_net(EX1_NET, seed=0), 2)
-        with pytest.raises(NonFiniteState):
-            dem_step(prob, corr, 0.5, np.array([bad]), 0.1)
+            assert step_once(step, prob, corr, x, y, h).tobytes() == want.tobytes()
 
 
 class TestNonFiniteMidSolve:

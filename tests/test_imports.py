@@ -1,4 +1,5 @@
-"""scipy is loaded only by the runs that integrate adaptively."""
+"""The package's public names resolve, and scipy is loaded only by the runs
+that integrate adaptively."""
 
 import json
 import os
@@ -65,3 +66,11 @@ def test_scipy_loads_only_for_reference_solves(tmp_path):
     }
     in_process = evaluate_truth(get_problem("lotka_volterra"), TRUTH_XS)
     assert np.array_equal(np.array(result["truth"]), in_process)
+
+
+def test_star_import_resolves_all():
+    import deep_euler
+
+    namespace = {}
+    exec("from deep_euler import *", namespace)
+    assert set(deep_euler.__all__) <= set(namespace)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deep_euler.dem import Corrector, dem_step, make_corrected_stepper
+from deep_euler.dem import Corrector, make_corrected_stepper
 from deep_euler.errors import NonFiniteState
 from deep_euler.metrics import (
     convergence_order,
@@ -93,7 +93,7 @@ class TestEpsMean:
         # Constant-slope field: data lie on lines, residuals vanish, so the
         # all-zero network matches them exactly.
         prob = OdeProblem(
-            name="constant_slope", dim=1, rhs=lambda x, y: np.ones(1),
+            name="constant_slope", dim=1, rhs=lambda x, y: np.ones_like(y),
             domain=(0.0, 2.0), initial=np.array([0.0]),
             exact=lambda x: np.array([float(x)]),
         )
@@ -209,7 +209,7 @@ class TestStabilityScan:
 
 
 def reference_scan(lam, corrector, h_grid, steps, bound):
-    """The scan as it was before the lockstep: one h, one dem_step at a time."""
+    """The scan as it was before the lockstep: one h, one corrected Euler step at a time."""
     results = []
     for h in h_grid:
         h = float(h)
@@ -221,11 +221,12 @@ def reference_scan(lam, corrector, h_grid, steps, bound):
             initial=np.array([1.0]),
             exact=lambda x: np.array([math.exp(lam * x)]),
         )
+        stepper = make_corrected_stepper(EULER, corrector, problem)
         y = problem.initial
         bounded = True
         for m in range(steps):
             try:
-                y = dem_step(problem, corrector, m * h, y, h)
+                y = stepper(problem, m * h, y, h)
             except NonFiniteState:
                 bounded = False
                 break

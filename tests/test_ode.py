@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deep_euler.errors import MinStepReached, NonFiniteState, UnknownProblem
 from deep_euler.ode import (
@@ -254,6 +256,27 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(UnknownProblem):
             get_problem("vanderpol")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["example1", "lotka_volterra", "kepler"]),
+        size=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rhs_on_a_batch_equals_column_calls(self, name, size, seed):
+        # Batches are component-major: x of shape (B,), y of shape (n, B).
+        problem = get_problem(name)
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(*problem.domain, size=size)
+        ys = rng.uniform(0.25, 3.0, size=(problem.dim, size))
+        batch = problem.rhs(xs, ys)
+        columns = np.column_stack([problem.rhs(x, y) for x, y in zip(xs.tolist(), ys.T)])
+        assert batch.shape == ys.shape
+        if name == "kepler":
+            # Array r^1.5 and scalar pow may round differently.
+            assert np.allclose(batch, columns, rtol=1e-14, atol=0.0)
+        else:
+            assert batch.tobytes() == columns.tobytes()
 
 
 class TestProblemValidation:
