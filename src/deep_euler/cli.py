@@ -23,14 +23,7 @@ from . import __version__
 from . import dataset, dem, metrics, mlp
 from .errors import ConfigError, DeepEulerError, NonFiniteGradient, NonFiniteState
 from .ode import (
-    BASE_METHODS,
-    EULER,
-    HEUN,
-    StepSchedule,
-    evaluate_truth,
-    get_problem,
-    restrict,
-    solve_fixed,
+    BASE_METHODS, EULER, HEUN, StepSchedule, evaluate_truth, get_problem, restrict, solve_fixed,
 )
 
 # Every --method name: the base methods, then their corrected forms.
@@ -42,22 +35,38 @@ _PROBLEM_DEFAULTS = {
     "lotka_volterra": {"points": 1000, "interval": [0.0, 15.0]},
     "kepler": {"points": 1000, "interval": [0.0, 15.0]},
 }
+# The tables train on example1 and take eps_mean over its training region.
+_EX1_REGION = tuple(_PROBLEM_DEFAULTS["example1"]["interval"])
 
-_TRAIN_DEFAULTS = {
-    "noise_level": 0.0,
-    "pair_policy": "all_pairs",
-    "min_gap": 0.0,
-    "hidden_layers": 8,
-    "hidden_width": 80,
-    "target": "euler",
-    "epochs": 50,
-    "learning_rate": 5e-3,
-    "batch_size": 32,
-    "seed": 0,
-    "clip_bound": None,
+# The default of a key with none of its own: problem must be given, points and
+# interval come from the problem's defaults, dataset_seed from seed.
+_UNSET = object()
+
+# dem train's keys, each both a flag and a config-file key, in --help order:
+# key -> (default, argparse keywords). The keywords also type the config
+# file's values: a choice is a string, and an interval a [lo, hi] pair.
+_TRAIN_KEYS = {
+    "problem": (_UNSET, {"choices": sorted(_PROBLEM_DEFAULTS)}),
+    "points": (_UNSET, {"type": int}),
+    "interval": (_UNSET, {"type": float, "nargs": 2, "metavar": ("LO", "HI")}),
+    "noise_level": (0.0, {"type": float}),
+    "pair_policy": ("all_pairs", {"choices": ("all_pairs", "min_gap")}),
+    "min_gap": (0.0, {"type": float}),
+    "hidden_layers": (8, {"type": int}),
+    "hidden_width": (80, {"type": int}),
+    "target": ("euler", {"choices": list(BASE_METHODS)}),
+    "epochs": (50, {"type": int}),
+    "learning_rate": (5e-3, {"type": float}),
+    "batch_size": (32, {"type": int}),
+    "seed": (0, {"type": int}),
+    "dataset_seed": (_UNSET, {"type": int}),
+    "clip_bound": (None, {"type": float}),
 }
-
-_TRAIN_KEYS = set(_TRAIN_DEFAULTS) | {"problem", "points", "interval", "dataset_seed"}
+# What each type accepts, and its name in errors; a bool counts as neither number.
+_ACCEPTS = {int: ((int, np.integer), "an integer"), float: ((int, float, np.floating), "a number"),
+            str: (str, "a string")}
+# Lower bounds of integer keys; mlp.TrainConfig checks the optimizer's own.
+_TRAIN_MINIMUMS = {"points": 2, "hidden_layers": 1, "hidden_width": 1, "seed": 0, "dataset_seed": 0}
 
 
 def _fmt(value) -> str:
@@ -65,35 +74,51 @@ def _fmt(value) -> str:
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    return format(v, ".17g")
+    return format(float(value), ".17g")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _csv(header: list[str], rows) -> bytes:
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
-def _write_manifest(out_dir: Path, manifest: dict) -> None:
-    manifest = dict(manifest)
-    manifest["tool_version"] = __version__
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+def _write_artifacts(out_dir, manifest: dict, files: dict, message: str) -> int:
+    """Write ``files`` (output key -> (file name, bytes)) and a manifest.json
+    that lists them into ``out_dir``, then print ``message``; exit code 0."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in files.values():
+        (out_dir / name).write_bytes(data)
+    outputs = {key: name for key, (name, _) in files.items()}
+    manifest = {**manifest, "outputs": outputs, "tool_version": __version__}
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(message)
+    return 0
 
 
-def _as_int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    return int(value)
+def _recorded(args, *names) -> dict:
+    """Manifest entries: the subcommand and the named arguments' values."""
+    return {"command": args.command, **{name: getattr(args, name) for name in names}}
 
 
-def _as_float(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    return float(value)
+def _has_type(kind, value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, _ACCEPTS[kind][0])
+
+
+def _check_value(key: str, value) -> None:
+    """ConfigError unless ``value`` has the type and choices of training key ``key``."""
+    default, spec = _TRAIN_KEYS[key]
+    kind, choices = spec.get("type", str), spec.get("choices")
+    if "nargs" in spec:
+        expected = "[lo, hi] with lo < hi"
+        ok = (isinstance(value, (list, tuple)) and len(value) == 2
+              and all(_has_type(kind, v) for v in value) and value[0] < value[1])
+    else:
+        expected = f"one of {', '.join(choices)}" if choices else _ACCEPTS[kind][1]
+        ok = (value is None and default is None) or (
+            _has_type(kind, value) and (choices is None or value in choices))
+    if not ok:
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
 
 
 def _load_config_file(path) -> dict:
@@ -112,13 +137,11 @@ def _load_config_file(path) -> dict:
 def _resolve_train_config(args) -> dict:
     """``dem train``'s config: the file, then DEM_SEED, then the flags."""
     file_cfg = _load_config_file(args.config) if args.config else {}
-    env_cfg = {}
     env_seed = os.environ.get("DEM_SEED")
-    if env_seed is not None:
-        try:
-            env_cfg["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"DEM_SEED: expected an integer, got {env_seed!r}") from None
+    try:
+        env_cfg = {} if env_seed is None else {"seed": int(env_seed)}
+    except ValueError:
+        raise ConfigError(f"DEM_SEED: expected an integer, got {env_seed!r}") from None
     # Every config key has a flag of the same name.
     flags = {key: getattr(args, key) for key in _TRAIN_KEYS if getattr(args, key) is not None}
     return _train_config(file_cfg, env_cfg, flags)
@@ -127,74 +150,42 @@ def _resolve_train_config(args) -> dict:
 def _train_config(*overrides: dict) -> dict:
     """The training defaults updated by each of ``overrides`` in turn, with the
     problem's defaults for what they leave unset; validated."""
-    cfg = dict(_TRAIN_DEFAULTS)
+    cfg = {key: default for key, (default, _) in _TRAIN_KEYS.items() if default is not _UNSET}
     for layer in overrides:
         cfg.update(layer)
     if "problem" not in cfg:
         raise ConfigError("problem: missing (flag --problem or config key)")
-    problem = cfg["problem"]
-    if not isinstance(problem, str) or problem not in _PROBLEM_DEFAULTS:
-        raise ConfigError(f"problem: unknown problem {problem!r}")
-    for key, value in _PROBLEM_DEFAULTS[problem].items():
+    _check_value("problem", cfg["problem"])
+    for key, value in _PROBLEM_DEFAULTS[cfg["problem"]].items():
         cfg.setdefault(key, value)
     cfg.setdefault("dataset_seed", cfg["seed"])
-
-    _as_int(cfg["points"], "points")
-    _as_int(cfg["hidden_layers"], "hidden_layers")
-    _as_int(cfg["hidden_width"], "hidden_width")
-    _as_int(cfg["seed"], "seed")
-    _as_int(cfg["dataset_seed"], "dataset_seed")
-    _as_float(cfg["noise_level"], "noise_level")
-    interval = cfg["interval"]
-    if not (
-        isinstance(interval, (list, tuple))
-        and len(interval) == 2
-        and _as_float(interval[0], "interval") < _as_float(interval[1], "interval")
-    ):
-        raise ConfigError(f"interval: expected [lo, hi] with lo < hi, got {interval!r}")
-    if cfg["pair_policy"] not in ("all_pairs", "min_gap"):
-        raise ConfigError(f"pair_policy: expected all_pairs or min_gap, got {cfg['pair_policy']!r}")
-    if not isinstance(cfg["target"], str) or cfg["target"] not in BASE_METHODS:
-        raise ConfigError(
-            f"target: expected one of {', '.join(BASE_METHODS)}, got {cfg['target']!r}"
-        )
-    if cfg["hidden_layers"] < 1 or cfg["hidden_width"] < 1:
-        raise ConfigError("hidden_layers/hidden_width: must be >= 1")
-    # Optimizer-facing values are validated by TrainConfig itself.
-    _train_config_of(cfg)
+    for key, value in cfg.items():
+        _check_value(key, value)
+    for key, least in _TRAIN_MINIMUMS.items():
+        if cfg[key] < least:
+            raise ConfigError(f"{key}: must be >= {least}, got {cfg[key]}")
+    _training_objects(cfg)  # building them checks the remaining ranges
     return cfg
 
 
-def _train_config_of(cfg: dict) -> mlp.TrainConfig:
-    return mlp.TrainConfig(
-        epochs=_as_int(cfg["epochs"], "epochs"),
-        learning_rate=_as_float(cfg["learning_rate"], "learning_rate"),
-        batch_size=_as_int(cfg["batch_size"], "batch_size"),
-        seed=_as_int(cfg["seed"], "seed"),
-        clip_bound=None if cfg["clip_bound"] is None else _as_float(cfg["clip_bound"], "clip_bound"),
-    )
-
-
-def _pair_policy_of(cfg: dict) -> dataset.PairPolicy:
-    if cfg["pair_policy"] == "min_gap":
-        return dataset.PairPolicy.min_gap(_as_float(cfg["min_gap"], "min_gap"))
-    return dataset.PairPolicy.all_pairs()
+def _training_objects(cfg: dict):
+    """The noise spec, pair policy and optimizer settings of a config."""
+    policy = (dataset.PairPolicy.min_gap(float(cfg["min_gap"])) if cfg["pair_policy"] == "min_gap"
+              else dataset.PairPolicy.all_pairs())
+    clip = None if cfg["clip_bound"] is None else float(cfg["clip_bound"])
+    train_cfg = mlp.TrainConfig(int(cfg["epochs"]), float(cfg["learning_rate"]),
+                                int(cfg["batch_size"]), int(cfg["seed"]), clip)
+    return dataset.NoiseSpec(cfg["noise_level"]), policy, train_cfg
 
 
 def _run_training(cfg: dict) -> tuple[mlp.MlpParams, list[float]]:
     problem = get_problem(cfg["problem"])
-    measurements = dataset.sample_measurements(
-        problem,
-        tuple(cfg["interval"]),
-        cfg["points"],
-        dataset.NoiseSpec(cfg["noise_level"]),
-        cfg["dataset_seed"],
-    )
-    inputs, targets = dataset.build_pairs(
-        problem, measurements, _pair_policy_of(cfg), cfg["target"]
-    )
+    noise, policy, train_cfg = _training_objects(cfg)
+    measurements = dataset.sample_measurements(problem, tuple(cfg["interval"]), cfg["points"],
+                                               noise, cfg["dataset_seed"])
+    inputs, targets = dataset.build_pairs(problem, measurements, policy, cfg["target"])
     widths = [problem.dim + 2] + [cfg["hidden_width"]] * cfg["hidden_layers"] + [problem.dim]
-    return mlp.train(inputs, targets, widths, _train_config_of(cfg))
+    return mlp.train(inputs, targets, widths, train_cfg)
 
 
 def _network_corrector(method, checkpoint) -> dem.Corrector:
@@ -226,26 +217,12 @@ def _method_stepper(name: str, problem, checkpoint, oracle: bool = False):
 
 def cmd_train(args) -> int:
     cfg = _resolve_train_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params, losses = _run_training(cfg)
-    (out_dir / "model.bin").write_bytes(mlp.save_model(params))
-    _write_csv(
-        out_dir / "loss.csv",
-        ["epoch", "mean_loss"],
-        [(i + 1, loss) for i, loss in enumerate(losses)],
-    )
-    _write_manifest(
-        out_dir,
-        {
-            "command": "train",
-            "config": cfg,
-            "network_widths": list(params.layer_widths),
-            "outputs": {"model": "model.bin", "loss_csv": "loss.csv"},
-        },
-    )
-    print(f"trained {cfg['problem']} ({cfg['target']} target), final loss {losses[-1]:.6g}")
-    return 0
+    loss_csv = _csv(["epoch", "mean_loss"], enumerate(losses, 1))
+    manifest = {**_recorded(args), "config": cfg, "network_widths": list(params.layer_widths)}
+    files = {"model": ("model.bin", mlp.save_model(params)), "loss_csv": ("loss.csv", loss_csv)}
+    return _write_artifacts(args.out_dir, manifest, files, f"trained {cfg['problem']} "
+                            f"({cfg['target']} target), final loss {losses[-1]:.6g}")
 
 
 def cmd_solve(args) -> int:
@@ -253,95 +230,73 @@ def cmd_solve(args) -> int:
     if args.interval is not None:
         problem = restrict(problem, args.interval[0], args.interval[1])
     schedule = StepSchedule.uniform(args.h)
-
     stepper, corrector = _method_stepper(args.method, problem, args.checkpoint)
     trajectory = solve_fixed(problem, schedule, stepper)
-
-    header = ["x"] + [f"y_{c + 1}" for c in range(problem.dim)]
-    columns = [trajectory.xs] + [trajectory.ys[:, c] for c in range(problem.dim)]
+    components = range(1, problem.dim + 1)
+    header = ["x"] + [f"y_{c}" for c in components]
+    columns = [trajectory.xs[:, None], trajectory.ys]
     if problem.exact is not None:
-        truth = evaluate_truth(problem, trajectory.xs)
-        header += [f"exact_{c + 1}" for c in range(problem.dim)]
-        columns += [truth[:, c] for c in range(problem.dim)]
+        header += [f"exact_{c}" for c in components]
+        columns.append(evaluate_truth(problem, trajectory.xs))
     if corrector is not None:
         _, gaps = metrics.eps_series(corrector, problem, schedule)
         header.append("n_minus_r")
-        columns.append(np.append(gaps, np.nan))  # value at the step's left endpoint
+        columns.append(np.append(gaps, np.nan)[:, None])  # value at the step's left endpoint
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "trajectory.csv", header, zip(*columns))
-    _write_manifest(
-        out_dir,
-        {
-            "command": "solve",
-            "problem": args.problem,
-            "method": args.method,
-            "h": args.h,
-            "interval": list(args.interval) if args.interval else list(problem.domain),
-            "checkpoint": args.checkpoint,
-            "outputs": {"trajectory": "trajectory.csv"},
-        },
-    )
-    print(f"solved {args.problem} with {args.method}, {len(trajectory)} mesh points")
-    return 0
+    manifest = {**_recorded(args, "problem", "method", "h", "checkpoint"),
+                "interval": list(args.interval) if args.interval else list(problem.domain)}
+    files = {"trajectory": ("trajectory.csv", _csv(header, np.hstack(columns)))}
+    return _write_artifacts(args.out_dir, manifest, files, f"solved {args.problem} with "
+                            f"{args.method}, {len(trajectory)} mesh points")
 
 
-def _max_error_vs_truth(problem, trajectory) -> float:
-    return metrics.max_abs_error(trajectory, evaluate_truth(problem, trajectory.xs))
+def _example1_schedules(h_list, regions) -> list[StepSchedule]:
+    """example1's uniform schedule for each h, checked to end a mesh step in every region."""
+    domain = get_problem("example1").domain
+    schedules = [StepSchedule.uniform(h) for h in h_list]
+    for schedule in schedules:
+        for region in regions:
+            metrics.region_mask(schedule.mesh(*domain)[1:], region)
+    return schedules
+
+
+def _train_then_evaluate(args, variants, evaluate):
+    """Train an example1 corrector per ``(output key, config overrides, base
+    method)`` variant, checking every config and h first; then get each h's
+    rows from ``evaluate(h, schedule, correctors)``. Returns the rows, the
+    model files and the settings shared by the variants."""
+    shared = {"points": args.points, "epochs": args.epochs, "seed": args.seed,
+              "dataset_seed": args.seed if args.dataset_seed is None else args.dataset_seed}
+    cfgs = [_train_config({"problem": "example1"}, shared, extra) for _, extra, _ in variants]
+    schedules = _example1_schedules(args.h_list, [_EX1_REGION])
+    files, correctors = {}, []
+    for (key, _, method), cfg in zip(variants, cfgs):
+        params, _ = _run_training(cfg)
+        files[key] = (f"{key}.bin", mlp.save_model(params))
+        correctors.append(dem.Corrector.network(params, method.exponent))
+    rows = [row for h, s in zip(args.h_list, schedules) for row in evaluate(h, s, correctors)]
+    return rows, files, shared
 
 
 def cmd_table1(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base_cfg = {
-        "problem": "example1",
-        "epochs": args.epochs,
-        "seed": args.seed,
-        "dataset_seed": args.dataset_seed if args.dataset_seed is not None else args.seed,
-        "points": args.points,
-    }
-    correctors = []
-    for method in (EULER, HEUN):
-        params, _ = _run_training(_train_config(base_cfg, {"target": method.name}))
-        correctors.append(dem.Corrector.network(params, method.exponent))
-        (out_dir / f"model_{method.corrected}.bin").write_bytes(mlp.save_model(params))
-
     problem = get_problem("example1")
-    train_region = tuple(_PROBLEM_DEFAULTS["example1"]["interval"])
-    dem_corr, dhm_corr = correctors
+    variants = [(f"model_{m.corrected}", {"target": m.name}, m) for m in (EULER, HEUN)]
 
-    rows = []
-    for h in args.h_list:
-        schedule = StepSchedule.uniform(h)
-        e_euler = _max_error_vs_truth(problem, solve_fixed(problem, schedule, EULER.step))
-        e_heun = _max_error_vs_truth(problem, solve_fixed(problem, schedule, HEUN.step))
-        e_dem = _max_error_vs_truth(problem, dem.solve_dem(problem, dem_corr, schedule))
-        e_dhm = _max_error_vs_truth(problem, dem.solve_dhm(problem, dhm_corr, schedule))
-        eps = metrics.eps_mean(dem_corr, problem, schedule, region=train_region)
-        rows.append((h, e_euler, e_heun, e_dem, e_dhm, eps, e_dem / e_euler))
+    def evaluate(h, schedule, correctors):
+        dem_corr, dhm_corr = correctors
+        e_euler = metrics.max_abs_error(solve_fixed(problem, schedule, EULER.step), problem.exact)
+        e_heun = metrics.max_abs_error(solve_fixed(problem, schedule, HEUN.step), problem.exact)
+        e_dem = metrics.max_abs_error(dem.solve_dem(problem, dem_corr, schedule), problem.exact)
+        e_dhm = metrics.max_abs_error(dem.solve_dhm(problem, dhm_corr, schedule), problem.exact)
+        eps = metrics.eps_mean(dem_corr, problem, schedule, region=_EX1_REGION)
+        return [(h, e_euler, e_heun, e_dem, e_dhm, eps, e_dem / e_euler)]
 
-    _write_csv(
-        out_dir / "table1.csv",
-        ["h", "euler", "heun", "dem", "dhm", "eps_mean", "ratio_dem_euler"],
-        rows,
-    )
-    _write_manifest(
-        out_dir,
-        {
-            "command": "table1",
-            "config": base_cfg,
-            "h_list": list(args.h_list),
-            "eps_region": list(train_region),
-            "outputs": {
-                "table": "table1.csv",
-                "model_dem": "model_dem.bin",
-                "model_dhm": "model_dhm.bin",
-            },
-        },
-    )
-    print(f"table1 written to {out_dir / 'table1.csv'}")
-    return 0
+    rows, models, shared = _train_then_evaluate(args, variants, evaluate)
+    table = _csv(["h", "euler", "heun", "dem", "dhm", "eps_mean", "ratio_dem_euler"], rows)
+    manifest = {**_recorded(args, "h_list"), "config": {"problem": "example1", **shared},
+                "eps_region": list(_EX1_REGION)}
+    return _write_artifacts(args.out_dir, manifest, {"table": ("table1.csv", table), **models},
+                            f"table1 written to {Path(args.out_dir) / 'table1.csv'}")
 
 
 def _parse_arch(spec: str) -> tuple[int, int]:
@@ -357,291 +312,168 @@ def _parse_arch(spec: str) -> tuple[int, int]:
 def cmd_table2(args) -> int:
     if args.num_seeds < 1:
         raise ConfigError(f"num_seeds: must be >= 1, got {args.num_seeds}")
-    # Every spec and point count is checked before the first training.
+    # Every spec, point count and h is checked before the first training.
     archs = [(arch, *_parse_arch(arch)) for arch in args.archs]
     too_few = [points for points in args.points_list if points < 2]
     if too_few:
         raise ConfigError(f"points_list: each value must be >= 2, got {too_few[0]}")
-    cells = len(args.points_list) * len(archs)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     problem = get_problem("example1")
-    a, b = problem.domain
-    lo, hi = _PROBLEM_DEFAULTS["example1"]["interval"]
-    schedule = StepSchedule.uniform(args.h)
+    regions = [_EX1_REGION, (_EX1_REGION[1], problem.domain[1])]  # train, test
+    (schedule,) = _example1_schedules([args.h], regions)
+    cells = len(args.points_list) * len(archs)
 
     rows = []
     for points in args.points_list:
         for arch, layers, width in archs:
-            eps_train, eps_test = [], []
+            eps = []  # (train, test) region means per seed
             for run in range(args.num_seeds):
-                cfg = _train_config(
-                    {
-                        "problem": "example1",
-                        "points": points,
-                        "hidden_layers": layers,
-                        "hidden_width": width,
-                        "epochs": args.epochs,
-                        "seed": args.seed + run,
-                    }
-                )
+                cfg = _train_config({"problem": "example1", "points": points,
+                                     "hidden_layers": layers, "hidden_width": width,
+                                     "epochs": args.epochs, "seed": args.seed + run})
                 try:
                     params, _ = _run_training(cfg)
                     corrector = dem.Corrector.network(params, EULER.exponent)
-                    eps_train.append(
-                        metrics.eps_mean(corrector, problem, schedule, region=(lo, hi))
-                    )
-                    eps_test.append(
-                        metrics.eps_mean(corrector, problem, schedule, region=(hi, b))
-                    )
+                    ends, gaps = metrics.eps_series(corrector, problem, schedule)
+                    eps.append([np.mean(gaps[metrics.region_mask(ends, r)]) for r in regions])
                 except (NonFiniteGradient, NonFiniteState) as err:
-                    print(
-                        f"warning: cell points={points} arch={arch} run={run} failed: {err}",
-                        file=sys.stderr,
-                    )
-                    eps_train.append(np.nan)
-                    eps_test.append(np.nan)
-            rows.append(
-                (points, layers, width, float(np.mean(eps_train)), float(np.mean(eps_test)))
-            )
-            print(
-                f"cell {len(rows)}/{cells}: points={points} arch={arch} "
-                f"eps_train={rows[-1][3]:.6g} eps_test={rows[-1][4]:.6g}",
-                file=sys.stderr,
-            )
+                    print(f"warning: cell points={points} arch={arch} run={run} failed: {err}",
+                          file=sys.stderr)
+                    eps.append([np.nan, np.nan])
+            rows.append((points, layers, width, *(float(np.mean(seeds)) for seeds in zip(*eps))))
+            print(f"cell {len(rows)}/{cells}: points={points} arch={arch} "
+                  f"eps_train={rows[-1][3]:.6g} eps_test={rows[-1][4]:.6g}", file=sys.stderr)
 
-    _write_csv(
-        out_dir / "table2.csv",
-        ["points", "hidden_layers", "hidden_width", "eps_train", "eps_test"],
-        rows,
-    )
-    _write_manifest(
-        out_dir,
-        {
-            "command": "table2",
-            "archs": list(args.archs),
-            "points_list": list(args.points_list),
-            "num_seeds": args.num_seeds,
-            "base_seed": args.seed,
-            "epochs": args.epochs,
-            "h": args.h,
-            "outputs": {"table": "table2.csv"},
-        },
-    )
-    print(f"table2 written to {out_dir / 'table2.csv'}")
-    return 0
+    table = _csv(["points", "hidden_layers", "hidden_width", "eps_train", "eps_test"], rows)
+    manifest = {**_recorded(args, "archs", "points_list", "num_seeds", "epochs", "h"),
+                "base_seed": args.seed}
+    return _write_artifacts(args.out_dir, manifest, {"table": ("table2.csv", table)},
+                            f"table2 written to {Path(args.out_dir) / 'table2.csv'}")
 
 
 def cmd_table3(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     problem = get_problem("example1")
-    train_region = tuple(_PROBLEM_DEFAULTS["example1"]["interval"])
+    variants = [("model_noise_" + format(level, "g").replace(".", "p"),
+                 {"noise_level": level}, EULER) for level in args.noise_levels]
 
-    correctors = {}
-    for level in args.noise_levels:
-        cfg = _train_config(
-            {
-                "problem": "example1",
-                "points": args.points,
-                "noise_level": level,
-                "epochs": args.epochs,
-                "seed": args.seed,
-                "dataset_seed": args.dataset_seed if args.dataset_seed is not None else args.seed,
-            }
-        )
-        params, _ = _run_training(cfg)
-        correctors[level] = dem.Corrector.network(params, EULER.exponent)
-        tag = format(level, "g").replace(".", "p")
-        (out_dir / f"model_noise_{tag}.bin").write_bytes(mlp.save_model(params))
+    def evaluate(h, schedule, correctors):
+        return [
+            (h, level, metrics.eps_mean(corrector, problem, schedule, region=_EX1_REGION),
+             metrics.max_abs_error(dem.solve_dem(problem, corrector, schedule), problem.exact))
+            for level, corrector in zip(args.noise_levels, correctors)
+        ]
 
-    rows = []
-    for h in args.h_list:
-        schedule = StepSchedule.uniform(h)
-        for level in args.noise_levels:
-            corrector = correctors[level]
-            eps = metrics.eps_mean(corrector, problem, schedule, region=train_region)
-            e_dem = _max_error_vs_truth(problem, dem.solve_dem(problem, corrector, schedule))
-            rows.append((h, level, eps, e_dem))
-
-    _write_csv(out_dir / "table3.csv", ["h", "delta", "eps_mean", "e_dem"], rows)
-    _write_manifest(
-        out_dir,
-        {
-            "command": "table3",
-            "noise_levels": list(args.noise_levels),
-            "h_list": list(args.h_list),
-            "points": args.points,
-            "epochs": args.epochs,
-            "seed": args.seed,
-            "outputs": {"table": "table3.csv"},
-        },
-    )
-    print(f"table3 written to {out_dir / 'table3.csv'}")
-    return 0
+    rows, models, shared = _train_then_evaluate(args, variants, evaluate)
+    manifest = {**_recorded(args, "noise_levels", "h_list"), **shared}
+    table = _csv(["h", "delta", "eps_mean", "e_dem"], rows)
+    return _write_artifacts(args.out_dir, manifest, {"table": ("table3.csv", table), **models},
+                            f"table3 written to {Path(args.out_dir) / 'table3.csv'}")
 
 
 def cmd_convergence(args) -> int:
     problem = get_problem(args.problem)
     stepper, _ = _method_stepper(args.method, problem, args.checkpoint, args.oracle)
     estimate = metrics.convergence_order(problem, stepper, args.h_list)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [
-        (h, err, estimate.order, estimate.degenerate)
-        for h, err in zip(estimate.h_values, estimate.errors)
-    ]
-    _write_csv(
-        out_dir / "convergence.csv",
-        ["h", "max_error", "fitted_order", "degenerate"],
-        rows,
-    )
-    _write_manifest(
-        out_dir,
-        {
-            "command": "convergence",
-            "problem": args.problem,
-            "method": args.method,
-            "oracle": bool(args.oracle),
-            "h_list": list(args.h_list),
-            "outputs": {"table": "convergence.csv"},
-        },
-    )
-    print(f"fitted order {estimate.order:.4g} (degenerate={estimate.degenerate})")
-    return 0
+    rows = [(h, err, estimate.order, estimate.degenerate)
+            for h, err in zip(estimate.h_values, estimate.errors)]
+    table = _csv(["h", "max_error", "fitted_order", "degenerate"], rows)
+    manifest = _recorded(args, "problem", "method", "oracle", "h_list")
+    return _write_artifacts(args.out_dir, manifest, {"table": ("convergence.csv", table)},
+                            f"fitted order {estimate.order:.4g} (degenerate={estimate.degenerate})")
 
 
 def cmd_stability(args) -> int:
     if args.clip_ln is not None:
         # Linear single-layer corrector whose Lipschitz bound equals clip_ln,
         # produced by clipping an over-scaled row.
-        raw = mlp.MlpParams(
-            (3, 1),
-            (np.array([[0.0, 0.0, 2.0 * args.clip_ln]]),),
-            (np.zeros(1),),
-        )
+        raw = mlp.MlpParams((3, 1), (np.array([[0.0, 0.0, 2.0 * args.clip_ln]]),), (np.zeros(1),))
         corrector = dem.Corrector.network(mlp.clip_weights(raw, args.clip_ln), EULER.exponent)
+        label = f"clip_ln={args.clip_ln}"
     elif args.checkpoint is not None:
-        corrector = _network_corrector(EULER, args.checkpoint)
+        corrector, label = _network_corrector(EULER, args.checkpoint), "checkpoint"
     else:
-        corrector = dem.Corrector.zero(EULER.exponent)
+        corrector, label = dem.Corrector.zero(EULER.exponent), "zero"
+    results = metrics.stability_scan(args.lam, corrector, args.h_grid, args.steps, args.bound)
+    manifest = {**_recorded(args, "lam", "h_grid", "checkpoint", "steps", "bound"),
+                "corrector": label}
+    table = _csv(["h", "bounded"], results)
+    return _write_artifacts(args.out_dir, manifest, {"table": ("stability.csv", table)},
+                            f"stability scan written to {Path(args.out_dir) / 'stability.csv'}")
 
-    results = metrics.stability_scan(
-        args.lam, corrector, args.h_grid, steps=args.steps, bound=args.bound
-    )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "stability.csv", ["h", "bounded"], results)
-    _write_manifest(
-        out_dir,
-        {
-            "command": "stability",
-            "lam": args.lam,
-            "h_grid": list(args.h_grid),
-            "corrector": (
-                "zero" if args.clip_ln is None and args.checkpoint is None
-                else (f"clip_ln={args.clip_ln}" if args.clip_ln is not None else "checkpoint")
-            ),
-            "steps": args.steps,
-            "bound": args.bound,
-            "outputs": {"table": "stability.csv"},
-        },
-    )
-    print(f"stability scan written to {out_dir / 'stability.csv'}")
-    return 0
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _ex1_default(key: str) -> tuple[str, dict]:
+    """Training key ``key``'s flag with its example1 default, as the tables take it."""
+    return _flag(key), {"default": _PROBLEM_DEFAULTS["example1"].get(key, _TRAIN_KEYS[key][0])}
+
+
+# Options that several subcommands take, each declared once: dem train's keys
+# (among them --problem, --points, --seed, --dataset-seed, --epochs) and these.
+_OPTIONS = {
+    **{_flag(key): spec for key, (_, spec) in _TRAIN_KEYS.items()},
+    "--out-dir": {"default": "."},
+    "--method": {"choices": list(_METHODS)},
+    "--checkpoint": {},
+    "--h-list": {"type": float, "nargs": "+"},
+}
+_REQUIRED = {"required": True}
+
+# Each subcommand's help line and options, in --help order. An option is a
+# flag of _OPTIONS, or (flag, keywords added to its _OPTIONS entry).
+_COMMANDS = {
+    "train": ("train a corrector network", [
+        "--problem", ("--config", {"help": "JSON config file; flags override it"}), "--out-dir",
+        *[_flag(key) for key in _TRAIN_KEYS if key != "problem"],
+    ]),
+    "solve": ("integrate a problem and write the trajectory", [
+        ("--problem", _REQUIRED), ("--method", _REQUIRED), ("--h", {"type": float, **_REQUIRED}),
+        "--interval", "--checkpoint", "--out-dir",
+    ]),
+    "table1": ("method comparison across step sizes", [
+        "--out-dir", _ex1_default("seed"), "--dataset-seed", _ex1_default("epochs"),
+        _ex1_default("points"), ("--h-list", {"default": [0.01, 0.1, 1.0, 2.0]}),
+    ]),
+    "table2": ("architecture / data-size sweep", [
+        "--out-dir", ("--archs", {"nargs": "+", "default": ["2x20", "4x40", "8x80", "16x160"]}),
+        ("--points-list", {"type": int, "nargs": "+", "default": [10, 25, 50, 100, 200, 500]}),
+        ("--num-seeds", {"type": int, "default": 10}), _ex1_default("seed"),
+        _ex1_default("epochs"), ("--h", {"type": float, "default": 0.1}),
+    ]),
+    "table3": ("noise-level sweep", [
+        "--out-dir",
+        ("--noise-levels", {"type": float, "nargs": "+", "default": [0.0, 0.01, 0.05, 0.10]}),
+        ("--h-list", {"default": [0.01, 0.1, 0.5, 1.0, 2.0]}), _ex1_default("points"),
+        _ex1_default("epochs"), _ex1_default("seed"), "--dataset-seed",
+    ]),
+    "convergence": ("measured convergence order", [
+        ("--problem", _REQUIRED), ("--method", _REQUIRED), ("--h-list", _REQUIRED), "--checkpoint",
+        ("--oracle", {"action": "store_true", "help": "use the exact truncation-error corrector"}),
+        "--out-dir",
+    ]),
+    "stability": ("bounded/unbounded scan over step sizes", [
+        ("--lam", {"type": float, "default": -5.0}),
+        ("--h-grid", {"type": float, "nargs": "+", **_REQUIRED}),
+        ("--clip-ln", {"type": float,
+                       "help": "use a linear corrector clipped to this Lipschitz bound"}),
+        "--checkpoint", ("--steps", {"type": int, "default": 1000}),
+        ("--bound", {"type": float, "default": 10.0}), "--out-dir",
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dem",
-        description="Hybrid ODE solving: classical steppers corrected by a trained "
-        "truncation-error network.",
-    )
+    parser = argparse.ArgumentParser(prog="dem", description="Hybrid ODE solving: classical "
+                                     "steppers corrected by a trained truncation-error network.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="train a corrector network")
-    p_train.add_argument("--problem", choices=sorted(_PROBLEM_DEFAULTS))
-    p_train.add_argument("--config", help="JSON config file; flags override it")
-    p_train.add_argument("--out-dir", default=".")
-    p_train.add_argument("--points", type=int)
-    p_train.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"))
-    p_train.add_argument("--noise-level", type=float, dest="noise_level")
-    p_train.add_argument("--pair-policy", choices=("all_pairs", "min_gap"), dest="pair_policy")
-    p_train.add_argument("--min-gap", type=float, dest="min_gap")
-    p_train.add_argument("--hidden-layers", type=int, dest="hidden_layers")
-    p_train.add_argument("--hidden-width", type=int, dest="hidden_width")
-    p_train.add_argument("--target", choices=list(BASE_METHODS))
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p_train.add_argument("--batch-size", type=int, dest="batch_size")
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--dataset-seed", type=int, dest="dataset_seed")
-    p_train.add_argument("--clip-bound", type=float, dest="clip_bound")
-    p_train.set_defaults(func=cmd_train)
-
-    p_solve = sub.add_parser("solve", help="integrate a problem and write the trajectory")
-    p_solve.add_argument("--problem", required=True, choices=sorted(_PROBLEM_DEFAULTS))
-    p_solve.add_argument("--method", required=True, choices=list(_METHODS))
-    p_solve.add_argument("--h", type=float, required=True)
-    p_solve.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"))
-    p_solve.add_argument("--checkpoint")
-    p_solve.add_argument("--out-dir", default=".")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_t1 = sub.add_parser("table1", help="method comparison across step sizes")
-    p_t1.add_argument("--out-dir", default=".")
-    p_t1.add_argument("--seed", type=int, default=0)
-    p_t1.add_argument("--dataset-seed", type=int, dest="dataset_seed")
-    p_t1.add_argument("--epochs", type=int, default=50)
-    p_t1.add_argument("--points", type=int, default=200)
-    p_t1.add_argument("--h-list", type=float, nargs="+", dest="h_list",
-                      default=[0.01, 0.1, 1.0, 2.0])
-    p_t1.set_defaults(func=cmd_table1)
-
-    p_t2 = sub.add_parser("table2", help="architecture / data-size sweep")
-    p_t2.add_argument("--out-dir", default=".")
-    p_t2.add_argument("--archs", nargs="+", default=["2x20", "4x40", "8x80", "16x160"])
-    p_t2.add_argument("--points-list", type=int, nargs="+", dest="points_list",
-                      default=[10, 25, 50, 100, 200, 500])
-    p_t2.add_argument("--num-seeds", type=int, dest="num_seeds", default=10)
-    p_t2.add_argument("--seed", type=int, default=0)
-    p_t2.add_argument("--epochs", type=int, default=50)
-    p_t2.add_argument("--h", type=float, default=0.1)
-    p_t2.set_defaults(func=cmd_table2)
-
-    p_t3 = sub.add_parser("table3", help="noise-level sweep")
-    p_t3.add_argument("--out-dir", default=".")
-    p_t3.add_argument("--noise-levels", type=float, nargs="+", dest="noise_levels",
-                      default=[0.0, 0.01, 0.05, 0.10])
-    p_t3.add_argument("--h-list", type=float, nargs="+", dest="h_list",
-                      default=[0.01, 0.1, 0.5, 1.0, 2.0])
-    p_t3.add_argument("--points", type=int, default=200)
-    p_t3.add_argument("--epochs", type=int, default=50)
-    p_t3.add_argument("--seed", type=int, default=0)
-    p_t3.add_argument("--dataset-seed", type=int, dest="dataset_seed")
-    p_t3.set_defaults(func=cmd_table3)
-
-    p_conv = sub.add_parser("convergence", help="measured convergence order")
-    p_conv.add_argument("--problem", required=True, choices=sorted(_PROBLEM_DEFAULTS))
-    p_conv.add_argument("--method", required=True, choices=list(_METHODS))
-    p_conv.add_argument("--h-list", type=float, nargs="+", dest="h_list", required=True)
-    p_conv.add_argument("--checkpoint")
-    p_conv.add_argument("--oracle", action="store_true",
-                        help="use the exact truncation-error corrector")
-    p_conv.add_argument("--out-dir", default=".")
-    p_conv.set_defaults(func=cmd_convergence)
-
-    p_stab = sub.add_parser("stability", help="bounded/unbounded scan over step sizes")
-    p_stab.add_argument("--lam", type=float, default=-5.0)
-    p_stab.add_argument("--h-grid", type=float, nargs="+", dest="h_grid", required=True)
-    p_stab.add_argument("--clip-ln", type=float, dest="clip_ln",
-                        help="use a linear corrector clipped to this Lipschitz bound")
-    p_stab.add_argument("--checkpoint")
-    p_stab.add_argument("--steps", type=int, default=1000)
-    p_stab.add_argument("--bound", type=float, default=10.0)
-    p_stab.add_argument("--out-dir", default=".")
-    p_stab.set_defaults(func=cmd_stability)
-
+    for name, (help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for option in options:
+            flag, extra = (option, {}) if isinstance(option, str) else option
+            p.add_argument(flag, **_OPTIONS.get(flag, {}), **extra)
+        # Looked up on each call, so that a replaced cmd_* function is the one run.
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 

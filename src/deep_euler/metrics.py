@@ -85,19 +85,18 @@ def eps_mean(
     rel_tol: float = 1e-6,
     abs_tol: float = 1e-6,
 ) -> float:
-    """Mean |network - residual| over the mesh steps inside ``region``.
-
-    A step belongs to (lo, hi] when its right endpoint does, so adjacent
-    regions partition the mesh exactly.
-    """
+    """Mean |network - residual| over the mesh steps inside ``region``."""
     ends, gaps = eps_series(corrector, problem, schedule, rel_tol, abs_tol)
-    if region is not None:
-        lo, hi = region
-        mask = (ends > lo) & (ends <= hi)
-        if not np.any(mask):
-            raise ValueError(f"no mesh steps end inside ({lo}, {hi}]")
-        gaps = gaps[mask]
-    return float(np.mean(gaps))
+    return float(np.mean(gaps if region is None else gaps[region_mask(ends, region)]))
+
+
+def region_mask(ends: np.ndarray, region: tuple[float, float]) -> np.ndarray:
+    """Steps whose right end lies in (lo, hi], so adjacent regions partition the mesh."""
+    lo, hi = region
+    mask = (ends > lo) & (ends <= hi)
+    if not np.any(mask):
+        raise ValueError(f"no mesh steps end inside ({lo}, {hi}]")
+    return mask
 
 
 def convergence_order(
@@ -110,7 +109,7 @@ def convergence_order(
     if len(hs) < 3:
         raise ValueError("need at least 3 step sizes")
     for h_prev, h_next in zip(hs, hs[1:]):
-        if abs(h_prev / h_next - 2.0) > 1e-9:
+        if abs(h_prev - 2.0 * h_next) > 1e-9 * abs(h_next):  # no division: h may be 0
             raise ValueError(f"step sizes must halve, got {h_prev} then {h_next}")
     if problem.exact is None:
         raise ValueError("convergence measurement needs an exact solution")

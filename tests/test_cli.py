@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,14 @@ def read_csv(path):
 
 
 TINY_TRAIN = ["--points", 25, "--epochs", 2, "--seed", 0]
+CHECKPOINT = Path(__file__).resolve().parent.parent / "bench/data/ex1_dem.bin"
+
+
+def count_trainings(monkeypatch):
+    """Replace the training run with a recorder of the configs it is given."""
+    trainings = []
+    monkeypatch.setattr(cli, "_run_training", lambda cfg: trainings.append(cfg))
+    return trainings
 
 
 @pytest.fixture(scope="module")
@@ -184,8 +193,7 @@ class TestTables:
 
     @pytest.mark.parametrize("bad", ["bogus", "2x0"])
     def test_table2_checks_archs_before_training(self, tmp_path, capsys, monkeypatch, bad):
-        trainings = []
-        monkeypatch.setattr(cli, "_run_training", lambda cfg: trainings.append(cfg))
+        trainings = count_trainings(monkeypatch)
         assert run("table2", "--out-dir", tmp_path, "--archs", "2x8", bad,
                    "--points-list", 200, "--num-seeds", 3, "--epochs", 3) == 2
         assert trainings == []
@@ -193,12 +201,51 @@ class TestTables:
 
     @pytest.mark.parametrize("points", [[10, 1], [0, 10], [10, 25, -3]])
     def test_table2_checks_points_before_training(self, tmp_path, capsys, monkeypatch, points):
-        trainings = []
-        monkeypatch.setattr(cli, "_run_training", lambda cfg: trainings.append(cfg))
+        trainings = count_trainings(monkeypatch)
         assert run("table2", "--out-dir", tmp_path, "--archs", "2x8",
                    "--points-list", *points, "--num-seeds", 1, "--epochs", 1) == 2
         assert trainings == []
         assert capsys.readouterr().err.startswith("error: points_list: ")
+
+    @pytest.mark.parametrize("h_list", [[0.1, 20], [0.1, 6], [0.5, -1]])
+    def test_table1_checks_h_before_training(self, tmp_path, capsys, monkeypatch, h_list):
+        trainings = count_trainings(monkeypatch)
+        assert run("table1", "--out-dir", tmp_path, "--points", 10, "--epochs", 1,
+                   "--h-list", *h_list) == 2
+        assert trainings == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--noise-levels", 0, 1.5], ["--noise-levels", 0, "--h-list", 0.5, -1],
+         ["--noise-levels", 0, "--points", 1], ["--noise-levels", 0, "--seed", -1]],
+        ids=["noise_level", "negative_h", "one_point", "negative_seed"],
+    )
+    def test_table3_checks_arguments_before_training(self, tmp_path, capsys, monkeypatch, argv):
+        trainings = count_trainings(monkeypatch)
+        assert run("table3", "--out-dir", tmp_path, "--points", 10, "--epochs", 1, *argv) == 2
+        assert trainings == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("h", [20, 6])
+    def test_table2_checks_h_before_training(self, tmp_path, capsys, monkeypatch, h):
+        trainings = count_trainings(monkeypatch)
+        assert run("table2", "--out-dir", tmp_path, "--archs", "2x8", "--points-list", 10,
+                   "--num-seeds", 1, "--epochs", 1, "--h", h) == 2
+        assert trainings == []
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_table3_manifest_records_dataset_seed(self, tmp_path):
+        manifests = []
+        for name, extra in (("default", []), ("seven", ["--dataset-seed", 7])):
+            out = tmp_path / name
+            assert run("table3", "--out-dir", out, "--noise-levels", 0.0, "--h-list", 1.0,
+                       "--points", 10, "--epochs", 1, *extra) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        assert [m["dataset_seed"] for m in manifests] == [0, 7]
+        assert manifests[0]["outputs"]["model_noise_0"] == "model_noise_0.bin"
 
     def test_table3_noise_grid(self, tmp_path):
         out = tmp_path / "t3"
@@ -235,12 +282,54 @@ class TestStabilityCommand:
         _, rows = read_csv(out / "stability.csv")
         assert rows[0, 1] == 1 and rows[1, 1] == 0
 
+    @pytest.mark.parametrize("checkpoint", [None, CHECKPOINT], ids=["zero", "checkpoint"])
+    def test_manifest_records_checkpoint(self, tmp_path, checkpoint):
+        out = tmp_path / "stab"
+        extra = [] if checkpoint is None else ["--checkpoint", checkpoint]
+        assert run("stability", "--h-grid", 0.3, "--out-dir", out, *extra) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["checkpoint"] == (None if checkpoint is None else str(checkpoint))
+        assert manifest["corrector"] == ("zero" if checkpoint is None else "checkpoint")
+
     def test_clipped_linear_corrector_boundary(self, tmp_path):
         out = tmp_path / "stab"
         assert run("stability", "--lam", -5.0, "--clip-ln", 6.0,
                    "--h-grid", 0.8, 0.9, "--out-dir", out) == 0
         _, rows = read_csv(out / "stability.csv")
         assert rows[0, 1] == 1 and rows[1, 1] == 0
+
+
+# One tiny run of each subcommand.
+TINY_RUNS = {
+    "train": ["train", "--problem", "example1", "--points", 25, "--epochs", 1,
+              "--hidden-layers", 2, "--hidden-width", 8],
+    "solve": ["solve", "--problem", "example1", "--method", "dem", "--h", 1.0,
+              "--checkpoint", CHECKPOINT],
+    "table1": ["table1", "--points", 25, "--epochs", 1, "--h-list", 0.5, 1.0],
+    "table2": ["table2", "--archs", "2x8", "--points-list", 10, 25, "--num-seeds", 2,
+               "--epochs", 1],
+    "table3": ["table3", "--noise-levels", 0.0, 0.05, "--h-list", 0.5, 1.0, "--points", 25,
+               "--epochs", 1],
+    "convergence": ["convergence", "--problem", "example1", "--method", "dem", "--oracle",
+                    "--h-list", 0.4, 0.2, 0.1],
+    "stability": ["stability", "--h-grid", 0.3, 0.5, 0.9, "--checkpoint", CHECKPOINT],
+}
+
+
+class TestArtifacts:
+    """Every subcommand writes the same bytes on a repeat run, and its
+    manifest's outputs name exactly the files it wrote."""
+
+    @pytest.mark.parametrize("command", sorted(TINY_RUNS))
+    def test_repeat_run_and_outputs_map(self, tmp_path, command):
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert run(*TINY_RUNS[command], "--out-dir", out) == 0
+            runs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert runs[0] == runs[1]
+        outputs = json.loads(runs[0]["manifest.json"])["outputs"]
+        assert sorted(outputs.values()) == sorted(set(runs[0]) - {"manifest.json"})
 
 
 class TestRejectedArguments:
@@ -265,10 +354,15 @@ class TestRejectedArguments:
              "--h-list", 0.1, 0.05, 0.025],
             ["convergence", "--problem", "example1", "--method", "heun", "--oracle",
              "--h-list", 0.1, 0.05, 0.025],
+            ["train", "--problem", "example1", "--points", 1, "--epochs", 1],
+            ["train", "--problem", "example1", "--points", 10, "--epochs", 1, "--seed", -1],
+            ["convergence", "--problem", "example1", "--method", "euler",
+             "--h-list", 0.4, 0, 0.1],
         ],
         ids=["h_zero", "h_longer_than_domain", "reversed_interval", "positive_lam",
              "missing_checkpoint", "two_h_values", "zero_seeds", "negative_steps",
-             "zero_bound", "oracle_euler", "oracle_heun"],
+             "zero_bound", "oracle_euler", "oracle_heun", "one_point", "negative_seed",
+             "zero_h_in_list"],
     )
     def test_exits_2(self, tmp_path, capsys, argv):
         argv = [str(a).format(missing=tmp_path / "missing.bin") for a in argv]

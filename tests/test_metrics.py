@@ -14,6 +14,7 @@ from deep_euler.metrics import (
     eps_mean,
     eps_series,
     max_abs_error,
+    region_mask,
     stability_scan,
 )
 from deep_euler.mlp import MlpParams, clip_weights, init, lipschitz_bound
@@ -111,6 +112,20 @@ class TestEpsMean:
         assert len(ends) == 100
         assert whole == pytest.approx((lo + hi) / 2.0, rel=1e-12)
 
+    def test_region_mean_is_masked_series_mean(self, problems):
+        prob = problems["example1"]
+        corr = Corrector.network(init([3, 4, 1], seed=2), 2)
+        sched = StepSchedule.uniform(0.3)
+        ends, gaps = eps_series(corr, prob, sched)
+        for region in [(0.0, 5.0), (5.0, 10.0), (2.5, 3.5)]:
+            mask = region_mask(ends, region)
+            assert np.array_equal(mask, (ends > region[0]) & (ends <= region[1]))
+            assert eps_mean(corr, prob, sched, region=region) == float(np.mean(gaps[mask]))
+
+    def test_empty_region_rejected(self):
+        with pytest.raises(ValueError, match=r"no mesh steps end inside \(5\.0, 5\.5\]"):
+            region_mask(np.array([1.0, 5.0, 6.0]), (5.0, 5.5))
+
     def test_constant_network_against_known_residual(self, exp_problem):
         # For y' = y the scaled defect of one Euler step between exact values
         # is y_m (e^h - 1 - h) / h^2; a constant network makes the gap explicit.
@@ -150,6 +165,8 @@ class TestConvergenceOrder:
             convergence_order(exp_problem, euler_step, [0.1, 0.05])
         with pytest.raises(ValueError):
             convergence_order(exp_problem, euler_step, [0.1, 0.07, 0.035])
+        with pytest.raises(ValueError, match="must halve"):
+            convergence_order(exp_problem, euler_step, [0.4, 0.0, 0.1])
 
 
 class TestStabilityScan:
