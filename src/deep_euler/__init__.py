@@ -28,7 +28,6 @@ from .mlp import (
     MlpParams,
     TrainConfig,
     clip_weights,
-    forward,
     forward_batch,
     init,
     lipschitz_bound,
@@ -74,7 +73,6 @@ __all__ = [
     "eps_mean",
     "euler_step",
     "evaluate_truth",
-    "forward",
     "forward_batch",
     "get_problem",
     "heun_step",

@@ -5,8 +5,9 @@ that records the run's configuration, so repeating a command with the same
 manifest, numpy/BLAS build and BLAS thread count reproduces its outputs byte
 for byte.
 
-Exit codes: 0 success, 2 configuration error, 3 dimension/shape error,
-4 numerical failure; each error class carries its own code.
+Exit codes: 0 success, 2 configuration error (a size too large to allocate
+among them), 3 dimension/shape error, 4 numerical failure; each error class
+carries its own code.
 """
 
 from __future__ import annotations
@@ -352,8 +353,13 @@ def cmd_table2(args) -> int:
 
 def cmd_table3(args) -> int:
     problem = get_problem("example1")
-    variants = [("model_noise_" + format(level, "g").replace(".", "p"),
-                 {"noise_level": level}, EULER) for level in args.noise_levels]
+    levels = {}  # model name -> noise level; two levels may not share a name
+    for level in args.noise_levels:
+        name = "model_noise_" + format(level, "g").replace(".", "p")
+        if name in levels:
+            raise ConfigError(f"noise_levels: {levels[name]} and {level} share model name {name}")
+        levels[name] = level
+    variants = [(name, {"noise_level": level}, EULER) for name, level in levels.items()]
 
     def evaluate(h, schedule, correctors):
         return [
@@ -376,7 +382,7 @@ def cmd_convergence(args) -> int:
     rows = [(h, err, estimate.order, estimate.degenerate)
             for h, err in zip(estimate.h_values, estimate.errors)]
     table = _csv(["h", "max_error", "fitted_order", "degenerate"], rows)
-    manifest = _recorded(args, "problem", "method", "oracle", "h_list")
+    manifest = _recorded(args, "problem", "method", "oracle", "h_list", "checkpoint")
     return _write_artifacts(args.out_dir, manifest, {"table": ("convergence.csv", table)},
                             f"fitted order {estimate.order:.4g} (degenerate={estimate.degenerate})")
 
@@ -483,9 +489,9 @@ def main(argv=None) -> int:
         return args.func(args)
     # ValueError: an argument argparse accepts but the library rejects, such
     # as a step size or interval out of range. OSError: an unreadable file.
-    # Both are configuration errors.
-    except (DeepEulerError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    # MemoryError: a size too large to allocate. All are configuration errors.
+    except (DeepEulerError, ValueError, OSError, MemoryError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return err.exit_code if isinstance(err, DeepEulerError) else DeepEulerError.exit_code
 
 

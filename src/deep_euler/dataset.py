@@ -29,29 +29,27 @@ class NoiseSpec:
     """Relative Gaussian noise: z = y * (1 + level * g), g standard normal."""
 
     level: float = 0.0
-    kind: str = "gaussian_relative"
 
     def __post_init__(self):
         if not 0.0 <= self.level < 1.0:
             raise ConfigError(f"noise_level: must be in [0, 1), got {self.level}")
-        if self.kind != "gaussian_relative":
-            raise ConfigError(f"noise kind: unknown {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class PairPolicy:
-    kind: str
+    """Keep the pairs with x_j - x_i >= gap; every pair when gap is 0."""
+
     gap: float = 0.0
 
     @classmethod
     def all_pairs(cls) -> "PairPolicy":
-        return cls(kind="all_pairs")
+        return cls()
 
     @classmethod
     def min_gap(cls, gap: float) -> "PairPolicy":
         if gap < 0:
             raise ConfigError(f"pair_policy.min_gap: must be >= 0, got {gap}")
-        return cls(kind="min_gap", gap=float(gap))
+        return cls(gap=float(gap))
 
 
 def sample_measurements(
@@ -100,9 +98,7 @@ def build_pairs(
     zs = np.stack([m.z for m in ms])
     idx_i, idx_j = np.triu_indices(len(ms), k=1)
     gaps = xs[idx_j] - xs[idx_i]
-    keep = gaps > 0.0  # guards against duplicate abscissae
-    if policy.kind == "min_gap":
-        keep &= gaps >= policy.gap
+    keep = (gaps > 0.0) & (gaps >= policy.gap)  # > 0 drops duplicate abscissae
     idx_i, idx_j = idx_i[keep], idx_j[keep]
     if len(idx_i) == 0:
         raise EmptyDataset("pair policy eliminated every pair")

@@ -51,8 +51,7 @@ class Corrector:
     ) -> "Corrector":
         """The true scaled truncation error. ``problem`` must have an exact
         solution, but the oracle keeps nothing of it: a stepper it is bound to
-        integrates the local flow of the problem that stepper is bound to.
-        ``metrics.stability_scan`` relies on this to bind it to y' = lam*y."""
+        integrates the local flow of the problem that stepper is bound to."""
         if problem.exact is None:
             raise ValueError("oracle corrector needs a problem with an exact solution")
         return cls(kind="oracle", order_exponent=order_exponent, offset=offset)

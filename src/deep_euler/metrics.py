@@ -9,7 +9,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dem import Corrector, make_corrected_stepper
-from .errors import NonFiniteState
 from .mlp import forward_batch
 from .ode import (
     BASE_METHODS,
@@ -53,8 +52,6 @@ def eps_series(
     corrector: Corrector,
     problem: OdeProblem,
     schedule: StepSchedule,
-    rel_tol: float = 1e-6,
-    abs_tol: float = 1e-6,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step |network - residual| along the ground-truth trajectory.
 
@@ -70,7 +67,7 @@ def eps_series(
     if method is None:
         raise ValueError(f"no base method for exponent {q}")
     xs = schedule.mesh(*problem.domain)
-    truth = evaluate_truth(problem, xs, rel_tol, abs_tol)
+    truth = evaluate_truth(problem, xs)
     inputs = np.column_stack((xs[:-1], xs[1:], truth[:-1]))
     n_vals = forward_batch(corrector.params, inputs)
     r_vals = scaled_defect(method, problem, xs[:-1], truth[:-1].T, xs[1:], truth[1:].T)
@@ -82,11 +79,9 @@ def eps_mean(
     problem: OdeProblem,
     schedule: StepSchedule,
     region: Optional[tuple[float, float]] = None,
-    rel_tol: float = 1e-6,
-    abs_tol: float = 1e-6,
 ) -> float:
     """Mean |network - residual| over the mesh steps inside ``region``."""
-    ends, gaps = eps_series(corrector, problem, schedule, rel_tol, abs_tol)
+    ends, gaps = eps_series(corrector, problem, schedule)
     return float(np.mean(gaps if region is None else gaps[region_mask(ends, region)]))
 
 
@@ -132,6 +127,7 @@ def stability_scan(
 ) -> list[tuple[float, bool]]:
     """Corrected Euler iteration on y' = lam*y from y=1; (h, bounded) in grid
     order, bounded meaning |y_m| <= bound for all of ``steps`` iterations.
+    The corrector is a network or zero; an oracle is refused.
 
     The grid is solved in lockstep, with one batched network call per step; an
     h leaves once unbounded or non-finite. The flags are the result: batched
@@ -141,33 +137,23 @@ def stability_scan(
         raise ValueError("stability scan expects lam < 0 and positive step sizes")
     if steps < 1 or not bound > 0:
         raise ValueError(f"stability scan expects steps >= 1 and bound > 0, got {steps}, {bound}")
+    if corrector.kind == "oracle":
+        raise ValueError("stability scan expects a network or zero corrector")
     problem = OdeProblem("linear_test", 1, lambda x, y: lam * y, (0.0, math.inf), np.ones(1))
-    # Checks the order and the network shape; the oracle steps row by row.
-    stepper = make_corrected_stepper(EULER, corrector, problem)
+    make_corrected_stepper(EULER, corrector, problem)  # checks the order and the network shape
     live, h, y = np.arange(len(hs)), np.array(hs), np.ones(len(hs))
     for m in range(steps):
         if not live.size:
             break
         x = m * h
         with np.errstate(over="ignore", invalid="ignore"):
-            if corrector.kind == "oracle":
-                y_next = np.array(
-                    [_oracle_row(stepper, problem, *row) for row in zip(x.tolist(), y, h.tolist())]
-                )
-            else:
-                y_next = y + h * (lam * y)
-                if corrector.kind == "network":
-                    inputs = np.column_stack((x, x + h, y))
-                    y_next += h**EULER.exponent * forward_batch(corrector.params, inputs)[:, 0]
+            y_next = y + h * (lam * y)
+            if corrector.kind == "network":
+                inputs = np.column_stack((x, x + h, y))
+                y_next += h**EULER.exponent * forward_batch(corrector.params, inputs)[:, 0]
             keep = np.isfinite(y_next) & (np.abs(y_next) <= bound)
         live, h, y = live[keep], h[keep], y_next[keep]
     bounded = np.zeros(len(hs), dtype=bool)
     bounded[live] = True
     return list(zip(hs, bounded.tolist()))
 
-
-def _oracle_row(stepper, problem: OdeProblem, x: float, y: float, h: float) -> float:
-    try:
-        return stepper(problem, x, np.array([y]), h)[0]
-    except NonFiniteState:
-        return math.nan

@@ -137,20 +137,9 @@ def init(layer_widths: Sequence[int], seed: int) -> MlpParams:
     return MlpParams(widths, tuple(weights), tuple(biases))
 
 
-def forward(params: MlpParams, x) -> np.ndarray:
-    """Evaluate the network on one input vector."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.shape != (params.layer_widths[0],):
-        raise InvalidInput(
-            f"input has shape {a.shape}, expected ({params.layer_widths[0]},)"
-        )
-    if not np.isfinite(a).all():
-        raise InvalidInput("non-finite network input")
-    return forward_into(params, a, [np.empty(w) for w in params.layer_widths[1:]])
-
-
 def forward_into(params: MlpParams, a: np.ndarray, outputs: Sequence[np.ndarray]) -> np.ndarray:
-    """forward without input checks; layer k writes outputs[k], and outputs[-1] is returned."""
+    """The network on one input vector, without checks; layer k writes
+    outputs[k], and outputs[-1] is returned."""
     last = params.num_layers - 1
     for k, (w, b, z) in enumerate(zip(params.weights, params.biases, outputs)):
         np.dot(w, a, out=z)

@@ -17,6 +17,10 @@ from .errors import MinStepReached, NonFiniteState, UnknownProblem
 
 Rhs = Callable[[float, np.ndarray], np.ndarray]
 
+# Relative and absolute tolerance of every reference solve, the ground truth
+# of problems without a closed form.
+REFERENCE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class OdeProblem:
@@ -81,46 +85,33 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Either a uniform step size or an explicit strictly increasing mesh."""
+    """A uniform step size h; the last step is shortened to land on b."""
 
-    kind: str
-    h: Optional[float] = None
-    points: Optional[np.ndarray] = None
+    h: float
+
+    def __post_init__(self):
+        if not self.h > 0:
+            raise ValueError("uniform step size must be positive")
+        object.__setattr__(self, "h", float(self.h))
 
     @classmethod
     def uniform(cls, h: float) -> "StepSchedule":
-        if not h > 0:
-            raise ValueError("uniform step size must be positive")
-        return cls(kind="uniform", h=float(h))
-
-    @classmethod
-    def explicit(cls, points) -> "StepSchedule":
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 1 or len(pts) < 2 or not np.all(np.diff(pts) > 0):
-            raise ValueError("explicit schedule needs >= 2 strictly increasing points")
-        return cls(kind="explicit", points=pts)
+        return cls(h)
 
     def mesh(self, a: float, b: float) -> np.ndarray:
-        if self.kind == "uniform":
-            span = b - a
-            if self.h > span:
-                raise ValueError(f"step {self.h} exceeds interval length {span}")
-            # Relative epsilon so that span/h landing a hair under an integer
-            # still counts as an exact fit.
-            ratio = span / self.h
-            m_full = int(math.floor(ratio * (1.0 + 1e-12) + 1e-12))
-            xs = a + self.h * np.arange(m_full + 1, dtype=np.float64)
-            if xs[-1] < b - 1e-12 * span:
-                xs = np.append(xs, b)  # shortened final step lands on b
-            else:
-                xs[-1] = b
-            return xs
-        if self.kind == "explicit":
-            pts = self.points
-            if abs(pts[0] - a) > 1e-12 or abs(pts[-1] - b) > 1e-12:
-                raise ValueError("explicit schedule must start at a and end at b")
-            return pts.copy()
-        raise ValueError(f"unknown schedule kind {self.kind!r}")
+        span = b - a
+        if self.h > span:
+            raise ValueError(f"step {self.h} exceeds interval length {span}")
+        # Relative epsilon so that span/h landing a hair under an integer
+        # still counts as an exact fit.
+        ratio = span / self.h
+        m_full = int(math.floor(ratio * (1.0 + 1e-12) + 1e-12))
+        xs = a + self.h * np.arange(m_full + 1, dtype=np.float64)
+        if xs[-1] < b - 1e-12 * span:
+            xs = np.append(xs, b)  # shortened final step lands on b
+        else:
+            xs[-1] = b
+        return xs
 
 
 # Overflow here is reported through NonFiniteState, not a warning.
@@ -208,16 +199,11 @@ def solve_fixed(problem: OdeProblem, schedule: StepSchedule, stepper) -> Traject
     return Trajectory(xs, ys)
 
 
-def solve_reference(
-    problem: OdeProblem,
-    query_points,
-    rel_tol: float = 1e-6,
-    abs_tol: float = 1e-6,
-) -> Trajectory:
+def solve_reference(problem: OdeProblem, query_points) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) solution evaluated at the query points.
 
-    Local error per step is controlled by abs_tol + rel_tol*|y|; values at
-    the queries come from the solver's dense output.
+    Local error per step is controlled by REFERENCE_TOL * (1 + |y|); values
+    at the queries come from the solver's dense output.
     """
     q = np.asarray(query_points, dtype=np.float64)
     a, b = problem.domain
@@ -236,8 +222,8 @@ def solve_reference(
         (a, q[-1]),
         problem.initial,
         method="RK45",
-        rtol=rel_tol,
-        atol=abs_tol,
+        rtol=REFERENCE_TOL,
+        atol=REFERENCE_TOL,
         dense_output=True,
     )
     if not sol.success:
@@ -245,14 +231,7 @@ def solve_reference(
     return Trajectory(q, sol.sol(q).T)
 
 
-def flow(
-    problem: OdeProblem,
-    x0: float,
-    y0: np.ndarray,
-    x1: float,
-    rel_tol: float = 2.5e-14,
-    abs_tol: float = 1e-14,
-) -> np.ndarray:
+def flow(problem: OdeProblem, x0: float, y0: np.ndarray, x1: float) -> np.ndarray:
     """Tightly integrated solution through (x0, y0), evaluated at x1.
 
     Used where the exact local flow is needed, e.g. true truncation-error
@@ -262,7 +241,7 @@ def flow(
         return np.asarray(y0, dtype=np.float64).copy()
     from scipy.integrate import DOP853  # imported here so only oracle solves load scipy
 
-    solver = DOP853(problem.rhs, x0, np.asarray(y0, float), x1, rtol=rel_tol, atol=abs_tol)
+    solver = DOP853(problem.rhs, x0, np.asarray(y0, float), x1, rtol=2.5e-14, atol=1e-14)
     while solver.status == "running":
         solver.step()
     if solver.status != "finished":
@@ -270,31 +249,20 @@ def flow(
     return solver.y
 
 
-def evaluate_truth(
-    problem: OdeProblem,
-    xs,
-    rel_tol: float = 1e-6,
-    abs_tol: float = 1e-6,
-) -> np.ndarray:
+def evaluate_truth(problem: OdeProblem, xs) -> np.ndarray:
     """Ground-truth states at xs: the exact solution if present, else a reference solve."""
     xs = np.asarray(xs, dtype=np.float64)
     if problem.exact is not None:
         return np.stack([np.asarray(problem.exact(x), float) for x in xs])
-    return solve_reference(problem, xs, rel_tol, abs_tol).ys
+    return solve_reference(problem, xs).ys
 
 
-def restrict(
-    problem: OdeProblem,
-    lo: float,
-    hi: float,
-    initial: Optional[np.ndarray] = None,
-) -> OdeProblem:
-    """Sub-problem on [lo, hi]; starts from the ground truth at lo unless given."""
+def restrict(problem: OdeProblem, lo: float, hi: float) -> OdeProblem:
+    """Sub-problem on [lo, hi], starting from the ground truth at lo."""
     a, b = problem.domain
     if lo < a - 1e-12 or hi > b + 1e-12 or not lo < hi:
         raise ValueError(f"[{lo}, {hi}] is not a valid sub-interval of [{a}, {b}]")
-    if initial is None:
-        initial = evaluate_truth(problem, [lo])[0]
+    initial = evaluate_truth(problem, [lo])[0]
     return replace(problem, domain=(float(lo), float(hi)), initial=initial)
 
 

@@ -219,8 +219,10 @@ class TestTables:
     @pytest.mark.parametrize(
         "argv",
         [["--noise-levels", 0, 1.5], ["--noise-levels", 0, "--h-list", 0.5, -1],
-         ["--noise-levels", 0, "--points", 1], ["--noise-levels", 0, "--seed", -1]],
-        ids=["noise_level", "negative_h", "one_point", "negative_seed"],
+         ["--noise-levels", 0, "--points", 1], ["--noise-levels", 0, "--seed", -1],
+         ["--noise-levels", 0.0100001, 0.01000012], ["--noise-levels", 0.05, 0, 0.05]],
+        ids=["noise_level", "negative_h", "one_point", "negative_seed", "shared_model_name",
+             "repeated_level"],
     )
     def test_table3_checks_arguments_before_training(self, tmp_path, capsys, monkeypatch, argv):
         trainings = count_trainings(monkeypatch)
@@ -273,6 +275,16 @@ class TestConvergenceCommand:
                    "--h-list", 0.1, 0.05, 0.025, "--out-dir", out) == 0
         _, rows = read_csv(out / "convergence.csv")
         assert np.all(rows[:, 3] == 1)
+
+    @pytest.mark.parametrize("checkpoint", [None, CHECKPOINT], ids=["none", "checkpoint"])
+    def test_manifest_records_checkpoint(self, tmp_path, checkpoint):
+        out = tmp_path / "conv"
+        method = "euler" if checkpoint is None else "dem"
+        extra = [] if checkpoint is None else ["--checkpoint", checkpoint]
+        assert run("convergence", "--problem", "example1", "--method", method,
+                   "--h-list", 0.4, 0.2, 0.1, "--out-dir", out, *extra) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["checkpoint"] == (None if checkpoint is None else str(checkpoint))
 
 
 class TestStabilityCommand:
@@ -390,3 +402,14 @@ class TestExitCodes:
         assert run("stability", "--h-grid", 0.1, "--out-dir", tmp_path) == error.exit_code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 745. GiB", ""], ids=["numpy", "bare"])
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch, message):
+        def fail(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "_run_training", fail)
+        assert run("train", "--problem", "example1", "--out-dir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message or 'MemoryError'}\n"
+        assert not (tmp_path / "manifest.json").exists()

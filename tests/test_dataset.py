@@ -164,6 +164,12 @@ class TestBuildPairs:
         inputs, _ = build_pairs(exp_problem, ms, PairPolicy.min_gap(2.0))
         assert sorted(inputs[:, 1] - inputs[:, 0]) == [4.0, 5.0]
 
+    def test_all_pairs_is_zero_gap_and_drops_duplicate_abscissae(self, exp_problem):
+        assert PairPolicy.all_pairs() == PairPolicy.min_gap(0.0)
+        ms = measurements_at([0.0, 1.0, 1.0], [1.0, 2.0, 2.5])
+        inputs, _ = build_pairs(exp_problem, ms, PairPolicy.all_pairs())
+        assert sorted(inputs[:, 1] - inputs[:, 0]) == [1.0, 1.0]
+
     def test_full_benchmark_pair_count(self, problems):
         prob = problems["example1"]
         ms = sample_measurements(prob, (0.0, 5.0), 200, NoiseSpec(0.0), seed=0)

@@ -146,8 +146,11 @@ class TestGenericCorrectedStep:
             x, h = rng.uniform(0.0, 8.0), rng.uniform(0.01, 1.0)
             y = rng.normal(size=prob.dim)
             one_step = replace(prob, domain=(x, x + h), initial=y, exact=None)
-            traj = solve(one_step, corr, StepSchedule.explicit([x, x + h]))
-            assert np.array_equal(stepper(prob, x, y, traj.xs[1] - x), traj.ys[1])
+            # The domain's own length: a bare h can exceed it by one ulp.
+            span = (x + h) - x
+            traj = solve(one_step, corr, StepSchedule.uniform(span))
+            assert len(traj) == 2
+            assert np.array_equal(stepper(prob, x, y, span), traj.ys[1])
 
     def test_first_order_instance_equals_dem_bitwise(self, problems, rng):
         corr = Corrector.network(constant_network(1, 0.7), 2)

@@ -1,6 +1,7 @@
-"""The package's public names resolve, and scipy is loaded only by the runs
-that integrate adaptively."""
+"""The package's public names resolve and have callers, and scipy is loaded
+only by the runs that integrate adaptively."""
 
+import ast
 import json
 import os
 import subprocess
@@ -74,3 +75,73 @@ def test_star_import_resolves_all():
     namespace = {}
     exec("from deep_euler import *", namespace)
     assert set(deep_euler.__all__) <= set(namespace)
+
+
+PACKAGE = ROOT / "src" / "deep_euler"
+
+# Public names with no caller in the package, each with the reason it stays.
+UNCALLED_PUBLIC = {
+    "stack_samples": "tests/test_acceptance.py trains on the build_pairs arrays through it",
+    "lipschitz_bound": "tests/test_acceptance.py checks a clipped network's bound with it",
+}
+
+
+def _binds(node, name) -> bool:
+    """Whether top-level ``node`` defines ``name`` (def, class or assignment)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name == name
+    if isinstance(node, ast.Assign):
+        return any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+    return False
+
+
+def _references(tree, name, skip=None) -> bool:
+    """Whether ``tree`` uses ``name`` outside the subtree ``skip``: as a loaded
+    name, a loaded attribute or an imported name. Docstrings and comments do
+    not count."""
+    inside = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            found = any(alias.name == name for alias in node.names)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            used = node.id if isinstance(node, ast.Name) else node.attr
+            found = used == name and isinstance(node.ctx, ast.Load)
+        else:
+            found = False
+        if found:
+            return True
+    return False
+
+
+def _uncalled_public_names() -> set:
+    """Names in ``__all__`` that no module of the package uses outside their
+    own definition. ``__init__`` re-exports every one of them, so it is not
+    searched."""
+    import deep_euler
+
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")
+             if path.name != "__init__.py"]
+    return {
+        name for name in deep_euler.__all__
+        if not any(_references(tree, name, next((n for n in tree.body if _binds(n, name)), None))
+                   for tree in trees)
+    }
+
+
+def test_every_public_name_has_a_caller():
+    import deep_euler
+
+    assert set(UNCALLED_PUBLIC) <= set(deep_euler.__all__)
+    assert _uncalled_public_names() == set(UNCALLED_PUBLIC)
+
+
+def test_only_code_counts_as_a_caller():
+    mention = ast.parse('"""Calls stack_samples."""\n# stack_samples\nx = "stack_samples"\n')
+    assert not _references(mention, "stack_samples")
+    for code in ("stack_samples(p)", "dataset.stack_samples(p)",
+                 "from .dataset import stack_samples"):
+        assert _references(ast.parse(code), "stack_samples")
+    definition = ast.parse("def stack_samples(p):\n    return stack_samples(p)\n")
+    assert not _references(definition, "stack_samples", skip=definition.body[0])

@@ -219,10 +219,9 @@ class TestStabilityScan:
         got = stability_scan(lam, corrector, grid, steps=steps, bound=bound)
         assert got == reference_scan(lam, corrector, grid, steps, bound)
 
-    def test_oracle_flags_equal_per_h_loop(self, exp_problem):
-        grid = [0.1, 0.45, 0.9, 2.0]
-        corr = Corrector.oracle(exp_problem, 2)
-        assert stability_scan(-5.0, corr, grid, steps=20) == reference_scan(-5.0, corr, grid, 20, 10.0)
+    def test_oracle_rejected(self, exp_problem):
+        with pytest.raises(ValueError, match="network or zero"):
+            stability_scan(-5.0, Corrector.oracle(exp_problem, 2), [0.1])
 
 
 def reference_scan(lam, corrector, h_grid, steps, bound):

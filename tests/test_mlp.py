@@ -21,8 +21,8 @@ from deep_euler.mlp import (
     TrainConfig,
     adam_step,
     clip_weights,
-    forward,
     forward_batch,
+    forward_into,
     init,
     lipschitz_bound,
     load_model,
@@ -30,6 +30,17 @@ from deep_euler.mlp import (
     save_model,
     train,
 )
+
+
+def forward_one(params, x):
+    """forward_batch on a batch of one input row, as a vector."""
+    return forward_batch(params, np.asarray(x, dtype=float)[None, :])[0]
+
+
+def forward_into_one(params, x):
+    """forward_into, as the DEM stepper calls it, on fresh buffers."""
+    outputs = [np.empty(w) for w in params.layer_widths[1:]]
+    return forward_into(params, np.asarray(x, dtype=float), outputs)
 
 
 def single_layer(weight_rows, bias):
@@ -198,11 +209,11 @@ class TestForward:
             (np.zeros(4), np.array([1.5, -2.0])),
         )
         for _ in range(5):
-            assert np.array_equal(forward(params, rng.normal(size=3)), [1.5, -2.0])
+            assert np.array_equal(forward_one(params, rng.normal(size=3)), [1.5, -2.0])
 
     def test_single_layer_affine(self):
         params = single_layer([[1.0, 2.0, 3.0]], [1.0])
-        assert np.array_equal(forward(params, [1.0, 1.0, 1.0]), [7.0])
+        assert np.array_equal(forward_one(params, [1.0, 1.0, 1.0]), [7.0])
 
     def test_relu_kills_negative_path(self):
         params = MlpParams(
@@ -210,19 +221,28 @@ class TestForward:
             (np.array([[-1.0]]), np.array([[1.0]])),
             (np.zeros(1), np.zeros(1)),
         )
-        assert np.array_equal(forward(params, [5.0]), [0.0])
+        assert np.array_equal(forward_one(params, [5.0]), [0.0])
+        assert np.array_equal(forward_into_one(params, [5.0]), [0.0])
 
     def test_non_finite_input_rejected(self):
         params = init([2, 3, 1], seed=0)
         with pytest.raises(InvalidInput):
-            forward(params, [np.nan, 1.0])
+            forward_one(params, [np.nan, 1.0])
+
+    @pytest.mark.parametrize("xs", [[1.0, 2.0], [[1.0, 2.0, 3.0]], np.zeros((2, 2, 2))],
+                             ids=["one_vector", "wrong_width", "three_axes"])
+    def test_wrong_shape_rejected(self, xs):
+        with pytest.raises(InvalidInput):
+            forward_batch(init([2, 3, 1], seed=0), xs)
 
     def test_batch_matches_single(self, rng):
         params = init([4, 6, 3], seed=2)
         xs = rng.normal(size=(8, 4))
         batched = forward_batch(params, xs)
         for row, x in zip(batched, xs):
-            assert np.allclose(row, forward(params, x), atol=1e-14)
+            single = forward_into_one(params, x)
+            assert np.allclose(row, single, atol=1e-14)
+            assert np.allclose(forward_one(params, x), single, atol=1e-14)
 
 
 class TestLossAndGrad:
@@ -366,7 +386,41 @@ class TestClipWeights:
         assert np.array_equal(clip_weights(params, 1.0).biases[0], [2.0])
 
 
+@st.composite
+def checkpoints(draw):
+    """The bytes of a network of 1-3 layers of widths 1-6, any finite parameters."""
+    widths = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    shapes = list(zip(widths[1:], widths[:-1]))
+    weights = tuple(draw(arrays(np.float64, shape, elements=values)) for shape in shapes)
+    biases = tuple(draw(arrays(np.float64, rows, elements=values)) for rows, _ in shapes)
+    return save_model(MlpParams(tuple(widths), weights, biases))
+
+
 class TestCheckpointFormat:
+    @settings(max_examples=100, deadline=None)
+    @given(blob=checkpoints())
+    def test_any_network_resaves_bitwise(self, blob):
+        assert save_model(load_model(blob)) == blob
+
+    @settings(max_examples=100, deadline=None)
+    @given(blob=checkpoints(), data=st.data())
+    def test_any_truncation_rejected(self, blob, data):
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        with pytest.raises(ModelFormatError):
+            load_model(blob[:cut])
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=checkpoints(), data=st.data())
+    def test_any_flipped_header_byte_rejected(self, blob, data):
+        # Header: magic, version and width count (12 bytes), then the widths.
+        header = 12 + 4 * int.from_bytes(blob[8:12], "little")
+        tampered = bytearray(blob)
+        tampered[data.draw(st.integers(0, header - 1), label="byte")] ^= data.draw(
+            st.integers(1, 255), label="mask")
+        with pytest.raises(ModelFormatError):
+            load_model(bytes(tampered))
+
     def test_round_trip_is_bitwise(self):
         params = init([3, 6, 2], seed=8)
         blob = save_model(params)

@@ -59,19 +59,32 @@ class TestSchedules:
         assert np.allclose(xs, [0.0, 0.3, 0.6, 0.9, 1.0])
         assert xs[-1] == 1.0
 
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan])
+    def test_non_positive_step_rejected_however_built(self, h):
+        for build in (StepSchedule, StepSchedule.uniform):
+            with pytest.raises(ValueError, match="must be positive"):
+                build(h)
+
     def test_uniform_step_larger_than_interval_rejected(self):
         with pytest.raises(ValueError):
             StepSchedule.uniform(3.0).mesh(0.0, 1.0)
 
-    def test_explicit_must_span_interval(self):
-        sched = StepSchedule.explicit([0.0, 0.4, 1.0])
-        assert np.array_equal(sched.mesh(0.0, 1.0), [0.0, 0.4, 1.0])
-        with pytest.raises(ValueError):
-            sched.mesh(0.0, 2.0)
-
-    def test_explicit_requires_increasing_points(self):
-        with pytest.raises(ValueError):
-            StepSchedule.explicit([0.0, 0.5, 0.5, 1.0])
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.floats(-1e3, 1e3),
+        span=st.floats(1e-3, 1e3),
+        steps=st.floats(1.0, 1e4),
+    )
+    def test_uniform_mesh_spans_rises_and_keeps_step(self, a, span, steps):
+        b = a + span
+        h = (b - a) / steps
+        xs = StepSchedule.uniform(h).mesh(a, b)
+        assert xs[0] == a and xs[-1] == b
+        assert np.all(np.diff(xs) > 0)
+        # a + k h rounds at the scale of the endpoints, and the last step may
+        # stretch by the 1e-12 relative fit tolerance to land on b.
+        slack = 4 * np.spacing(max(abs(a), abs(b))) + 1e-12 * (b - a)
+        assert np.max(np.diff(xs)) <= h + slack
 
 
 class TestSteppers:
@@ -203,21 +216,17 @@ class TestReferenceSolver:
         traj = solve_reference(problems["kepler"], [math.pi])
         assert np.allclose(traj.ys[0], [-1.0, 0.0, 0.0, -1.0], atol=1e-4)
 
-    @pytest.mark.parametrize(
-        "name,cap_1e6,cap_1e8",
-        [("example1", 5e-5, 2e-6), ("kepler", 2e-3, 2e-6)],
-    )
-    def test_tracks_exact_and_tightens_with_tolerance(self, problems, name, cap_1e6, cap_1e8):
-        # Per-step error control does not bound the global error by the
-        # tolerance itself; over these horizons the accumulated deviation
-        # stays within the caps below and shrinks with the tolerance.
+    @pytest.mark.parametrize("name,cap", [("example1", 5e-5), ("kepler", 2e-3)])
+    def test_tracks_exact_within_cap(self, problems, name, cap):
+        # Per-step error control at the 1e-6 reference tolerance does not
+        # bound the global error by the tolerance itself; over these horizons
+        # the accumulated deviation stays within the caps.
         prob = problems[name]
         a, b = prob.domain
         queries = np.linspace(a + 0.1, b, 40)
         truth = np.stack([prob.exact(x) for x in queries])
-        for tol, cap in ((1e-6, cap_1e6), (1e-8, cap_1e8)):
-            traj = solve_reference(prob, queries, rel_tol=tol, abs_tol=tol)
-            assert np.max(np.abs(traj.ys - truth)) <= cap
+        traj = solve_reference(prob, queries)
+        assert np.max(np.abs(traj.ys - truth)) <= cap
 
     def test_min_step_failure_on_blowup(self):
         # y' = y^2 from y(0)=1 blows up at x=1; pushing past it must fail.
