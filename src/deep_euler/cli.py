@@ -51,7 +51,6 @@ _TRAIN_KEYS = {
     "points": (_UNSET, {"type": int}),
     "interval": (_UNSET, {"type": float, "nargs": 2, "metavar": ("LO", "HI")}),
     "noise_level": (0.0, {"type": float}),
-    "pair_policy": ("all_pairs", {"choices": ("all_pairs", "min_gap")}),
     "min_gap": (0.0, {"type": float}),
     "hidden_layers": (8, {"type": int}),
     "hidden_width": (80, {"type": int}),
@@ -171,8 +170,7 @@ def _train_config(*overrides: dict) -> dict:
 
 def _training_objects(cfg: dict):
     """The noise spec, pair policy and optimizer settings of a config."""
-    policy = (dataset.PairPolicy.min_gap(float(cfg["min_gap"])) if cfg["pair_policy"] == "min_gap"
-              else dataset.PairPolicy.all_pairs())
+    policy = dataset.PairPolicy.min_gap(float(cfg["min_gap"]))
     clip = None if cfg["clip_bound"] is None else float(cfg["clip_bound"])
     train_cfg = mlp.TrainConfig(int(cfg["epochs"]), float(cfg["learning_rate"]),
                                 int(cfg["batch_size"]), int(cfg["seed"]), clip)
@@ -391,7 +389,11 @@ def cmd_stability(args) -> int:
     if args.clip_ln is not None:
         # Linear single-layer corrector whose Lipschitz bound equals clip_ln,
         # produced by clipping an over-scaled row.
-        raw = mlp.MlpParams((3, 1), (np.array([[0.0, 0.0, 2.0 * args.clip_ln]]),), (np.zeros(1),))
+        row = 2.0 * args.clip_ln
+        if not 0.0 < row < np.inf:
+            raise ConfigError(f"clip_ln: must be in (0, {np.finfo(float).max / 2:.4g}], "
+                              f"got {args.clip_ln}")
+        raw = mlp.MlpParams((3, 1), (np.array([[0.0, 0.0, row]]),), (np.zeros(1),))
         corrector = dem.Corrector.network(mlp.clip_weights(raw, args.clip_ln), EULER.exponent)
         label = f"clip_ln={args.clip_ln}"
     elif args.checkpoint is not None:

@@ -47,8 +47,8 @@ class PairPolicy:
 
     @classmethod
     def min_gap(cls, gap: float) -> "PairPolicy":
-        if gap < 0:
-            raise ConfigError(f"pair_policy.min_gap: must be >= 0, got {gap}")
+        if not gap >= 0:
+            raise ConfigError(f"min_gap: must be >= 0, got {gap}")
         return cls(gap=float(gap))
 
 

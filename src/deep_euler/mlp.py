@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -137,12 +137,15 @@ def init(layer_widths: Sequence[int], seed: int) -> MlpParams:
     return MlpParams(widths, tuple(weights), tuple(biases))
 
 
-def forward_into(params: MlpParams, a: np.ndarray, outputs: Sequence[np.ndarray]) -> np.ndarray:
-    """The network on one input vector, without checks; layer k writes
-    outputs[k], and outputs[-1] is returned."""
-    last = params.num_layers - 1
+def forward_into(params, a: np.ndarray, outputs: Iterable[np.ndarray]) -> np.ndarray:
+    """The network, without checks, on one input vector (p_0,) or a batch
+    (B, p_0): ReLU between layers, the last layer linear. ``params`` is an
+    MlpParams or a FlatLayers. Layer k writes the k-th buffer of ``outputs``,
+    and the last one is returned."""
+    last = len(params.weights) - 1
     for k, (w, b, z) in enumerate(zip(params.weights, params.biases, outputs)):
-        np.dot(w, a, out=z)
+        # np.dot, not np.matmul: on one vector matmul is slower per layer.
+        np.dot(a, w.T, out=z)
         z += b
         if k < last:
             np.maximum(z, 0.0, out=z)
@@ -159,9 +162,8 @@ def forward_batch(params: MlpParams, xs) -> np.ndarray:
         )
     if not np.all(np.isfinite(a)):
         raise InvalidInput("non-finite network input")
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        a = np.maximum(a @ w.T + b, 0.0)
-    return a @ params.weights[-1].T + params.biases[-1]
+    # A generator, so that only two layers' outputs are alive at a time.
+    return forward_into(params, a, (np.empty((len(a), w)) for w in params.layer_widths[1:]))
 
 
 def loss_and_grad(
@@ -187,22 +189,13 @@ def loss_and_grad(
         work = Workspace(params.layer_widths, batch)
 
     outputs = [buf[:batch] for buf in work.outputs]
-    last = len(outputs) - 1
-    a = x
-    for k, (w, b, z) in enumerate(zip(params.weights, params.biases, outputs)):
-        np.matmul(a, w.T, out=z)
-        z += b
-        if k < last:
-            np.maximum(z, 0.0, out=z)
-        a = z
-
-    diff = np.subtract(a, y, out=a)
+    diff = np.subtract(forward_into(params, x, outputs), y, out=outputs[-1])
     loss = float(np.add.reduce(np.abs(diff), axis=None) / batch)
 
     dz = np.sign(diff, out=diff)
     dz /= batch
     grad = work.grad
-    for k in range(last, -1, -1):
+    for k in range(len(outputs) - 1, -1, -1):
         a_in = outputs[k - 1] if k else x
         np.matmul(dz.T, a_in, out=grad.weights[k])
         np.add.reduce(dz, axis=0, out=grad.biases[k])  # np.sum without its Python wrapper
@@ -267,12 +260,11 @@ def _row_scale(w: np.ndarray, clip_bound: float) -> np.ndarray:
 
 
 def save_model(params: MlpParams) -> bytes:
-    """Serialize to bytes: magic, version, widths, then row-major float64 layers."""
-    parts = [struct.pack("<4sII", _MAGIC, _FORMAT_VERSION, len(params.layer_widths))]
-    parts.append(struct.pack(f"<{len(params.layer_widths)}I", *params.layer_widths))
-    for w, b in zip(params.weights, params.biases):
-        parts += [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in (w, b)]
-    return b"".join(parts)
+    """Serialize to bytes: magic, version, widths, then the FlatLayers vector
+    as little-endian float64."""
+    widths = params.layer_widths
+    header = struct.pack(f"<4sII{len(widths)}I", _MAGIC, _FORMAT_VERSION, len(widths), *widths)
+    return header + FlatLayers.of(params).data.astype("<f8").tobytes()
 
 
 def load_model(data: bytes) -> MlpParams:

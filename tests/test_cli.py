@@ -76,10 +76,26 @@ class TestTrain:
         assert run("train", "--config", cfg, "--out-dir", tmp_path) == 2
         assert "leraning_rate" in capsys.readouterr().err
 
+    def test_pair_policy_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "example1", "pair_policy": "min_gap"}))
+        assert run("train", "--config", cfg, "--out-dir", tmp_path) == 2
+        assert "pair_policy: unknown configuration key" in capsys.readouterr().err
+
+    def test_min_gap_alone_filters_the_pairs(self, tmp_path):
+        outs = [tmp_path / "all", tmp_path / "gap"]
+        for out, gap in zip(outs, (0.0, 1.0)):
+            assert run("train", "--problem", "example1", "--min-gap", gap, "--out-dir", out,
+                       *TINY_TRAIN) == 0
+        assert (outs[0] / "model.bin").read_bytes() != (outs[1] / "model.bin").read_bytes()
+        config = json.loads((outs[1] / "manifest.json").read_text())["config"]
+        assert config["min_gap"] == 1.0 and "pair_policy" not in config
+
     @pytest.mark.parametrize(
         "config",
-        [{"problem": ["x"]}, {"problem": "example1", "interval": [0, "5"]}],
-        ids=["problem_list", "interval_string"],
+        [{"problem": ["x"]}, {"problem": "example1", "interval": [0, "5"]},
+         {"problem": "example1", "min_gap": float("nan")}],
+        ids=["problem_list", "interval_string", "min_gap_nan"],
     )
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
@@ -370,11 +386,17 @@ class TestRejectedArguments:
             ["train", "--problem", "example1", "--points", 10, "--epochs", 1, "--seed", -1],
             ["convergence", "--problem", "example1", "--method", "euler",
              "--h-list", 0.4, 0, 0.1],
+            ["stability", "--h-grid", 0.1, "--clip-ln", "inf"],
+            ["stability", "--h-grid", 0.1, "--clip-ln", "nan"],
+            ["stability", "--h-grid", 0.1, "--clip-ln", 1e308],
+            ["train", "--problem", "example1", "--points", 10, "--epochs", 1,
+             "--min-gap", "nan"],
         ],
         ids=["h_zero", "h_longer_than_domain", "reversed_interval", "positive_lam",
              "missing_checkpoint", "two_h_values", "zero_seeds", "negative_steps",
              "zero_bound", "oracle_euler", "oracle_heun", "one_point", "negative_seed",
-             "zero_h_in_list"],
+             "zero_h_in_list", "infinite_clip_ln", "nan_clip_ln", "clip_ln_row_overflows",
+             "nan_min_gap"],
     )
     def test_exits_2(self, tmp_path, capsys, argv):
         argv = [str(a).format(missing=tmp_path / "missing.bin") for a in argv]

@@ -44,7 +44,7 @@ FLAG_VALUES = {
     "--lam": ([-5.0, -1.0], [5.0, 0.0, "nan", "x"]),
     "--steps": ([10, 100], [0, -3, "x"]),
     "--bound": ([10.0, 1.0], [0.0, -1.0, "nan"]),
-    "--clip-ln": ([1.0, 6.0], [0.0, -1.0, "nan"]),
+    "--clip-ln": ([1.0, 6.0], [0.0, -1.0, "nan", "inf"]),
     "--noise-level": ([0.0, 0.05, 0.5], [1.5, -0.1, "nan"]),
     "--noise-levels": ([0.0, 0.05, 0.5], [1.5, -0.1, "nan"]),
     "--min-gap": ([0.0, 0.1, 10.0], [-1.0, "nan"]),

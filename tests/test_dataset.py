@@ -203,6 +203,11 @@ class TestBuildPairs:
         assert info.value.x == 2.0
         assert str(info.value) == "non-finite state at x=2.0"
 
+    @pytest.mark.parametrize("gap", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_min_gap_rejects_a_gap_below_zero_or_nan(self, gap):
+        with pytest.raises(ConfigError, match="min_gap"):
+            PairPolicy.min_gap(gap)
+
     def test_policy_eliminating_everything(self, exp_problem):
         ms = measurements_at([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(EmptyDataset):

@@ -1,5 +1,7 @@
 """Network evaluation, gradients, Adam, Lipschitz machinery, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,37 @@ def reference_train(x, y, widths, config):
     return params, epoch_losses
 
 
+@st.composite
+def networks(draw, values=st.floats(allow_nan=False, allow_infinity=False)):
+    """A network of 1-3 layers of widths 1-6 with parameters drawn from ``values``."""
+    widths = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    shapes = list(zip(widths[1:], widths[:-1]))
+    weights = tuple(draw(arrays(np.float64, shape, elements=values)) for shape in shapes)
+    biases = tuple(draw(arrays(np.float64, rows, elements=values)) for rows, _ in shapes)
+    return MlpParams(tuple(widths), weights, biases)
+
+
+# Values small enough that no layer overflows, so results compare bitwise.
+MODERATE = st.floats(-10.0, 10.0)
+
+
+def reference_forward_batch(params, x):
+    """forward_batch as it was written before it shared the layer loop."""
+    a = x
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        a = np.maximum(a @ w.T + b, 0.0)
+    return a @ params.weights[-1].T + params.biases[-1]
+
+
+def reference_forward_one(params, a):
+    """The network on one vector, one np.dot(w, a) per layer."""
+    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+        a = np.dot(w, a) + b
+        if k < params.num_layers - 1:
+            a = np.maximum(a, 0.0)
+    return a
+
+
 def min_preactivation_margin(params, inputs):
     """Smallest |pre-activation| over the hidden layers for a batch."""
     a = np.atleast_2d(inputs)
@@ -243,6 +276,35 @@ class TestForward:
             single = forward_into_one(params, x)
             assert np.allclose(row, single, atol=1e-14)
             assert np.allclose(forward_one(params, x), single, atol=1e-14)
+
+
+class TestOneLayerLoop:
+    """forward_into is the one layer loop: one vector, a batch and training share it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=networks(MODERATE), data=st.data())
+    def test_batch_equals_forward_batch_bitwise(self, params, data):
+        rows = data.draw(st.integers(1, 8), label="rows")
+        x = data.draw(arrays(np.float64, (rows, params.layer_widths[0]), elements=MODERATE))
+        outputs = [np.empty((rows, w)) for w in params.layer_widths[1:]]
+        got = forward_into(params, x, outputs)
+        assert got.tobytes() == forward_batch(params, x).tobytes()
+        assert got.tobytes() == reference_forward_batch(params, x).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=networks(MODERATE), data=st.data())
+    def test_one_vector_equals_per_layer_dot_bitwise(self, params, data):
+        x = data.draw(arrays(np.float64, params.layer_widths[0], elements=MODERATE))
+        assert forward_into_one(params, x).tobytes() == reference_forward_one(params, x).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=networks(MODERATE), data=st.data())
+    def test_loss_is_mean_abs_error_of_forward_batch_bitwise(self, params, data):
+        rows = data.draw(st.integers(1, 8), label="rows")
+        x = data.draw(arrays(np.float64, (rows, params.layer_widths[0]), elements=MODERATE))
+        y = data.draw(arrays(np.float64, (rows, params.layer_widths[-1]), elements=MODERATE))
+        want = np.add.reduce(np.abs(forward_batch(params, x) - y), axis=None) / rows
+        assert loss_and_grad(params, x, y)[0] == want
 
 
 class TestLossAndGrad:
@@ -386,18 +448,26 @@ class TestClipWeights:
         assert np.array_equal(clip_weights(params, 1.0).biases[0], [2.0])
 
 
-@st.composite
-def checkpoints(draw):
+def checkpoints():
     """The bytes of a network of 1-3 layers of widths 1-6, any finite parameters."""
-    widths = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
-    values = st.floats(allow_nan=False, allow_infinity=False)
-    shapes = list(zip(widths[1:], widths[:-1]))
-    weights = tuple(draw(arrays(np.float64, shape, elements=values)) for shape in shapes)
-    biases = tuple(draw(arrays(np.float64, rows, elements=values)) for rows, _ in shapes)
-    return save_model(MlpParams(tuple(widths), weights, biases))
+    return networks().map(save_model)
+
+
+def reference_save_model(params):
+    """The checkpoint as save_model wrote it layer by layer, before it wrote the flat vector."""
+    parts = [struct.pack("<4sII", b"FCN1", 1, len(params.layer_widths))]
+    parts.append(struct.pack(f"<{len(params.layer_widths)}I", *params.layer_widths))
+    for w, b in zip(params.weights, params.biases):
+        parts += [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in (w, b)]
+    return b"".join(parts)
 
 
 class TestCheckpointFormat:
+    @settings(max_examples=100, deadline=None)
+    @given(params=networks())
+    def test_bytes_equal_the_per_layer_format(self, params):
+        assert save_model(params) == reference_save_model(params)
+
     @settings(max_examples=100, deadline=None)
     @given(blob=checkpoints())
     def test_any_network_resaves_bitwise(self, blob):
