@@ -64,8 +64,8 @@ class Corrector:
 def make_corrected_stepper(method: BaseMethod, corrector: Corrector, problem: OdeProblem):
     """Bind a corrector to a base method and a problem, checking the order and
     a network's shape once; the stepper returns base + h^q * correction. A
-    network stepper reuses its buffers, so it serves one solve at a time, and
-    does not check its state: a solve already has."""
+    network stepper reuses its buffers and returns its last one, so it serves
+    one solve at a time, and does not check its state: a solve already has."""
     q = corrector.order_exponent
     if q != method.exponent:
         raise OrderMismatch(
@@ -99,7 +99,11 @@ def make_corrected_stepper(method: BaseMethod, corrector: Corrector, problem: Od
         inp[0] = x
         inp[1] = x + h
         inp[2:] = y
-        return base + h**q * forward_into(params, inp, outputs)
+        # In place, with the bits of base + h**q * N: IEEE + and * commute.
+        out = forward_into(params, inp, outputs)
+        out *= h**q
+        out += base
+        return out
 
     return network_stepper
 

@@ -9,7 +9,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dem import Corrector, make_corrected_stepper
-from .mlp import forward_batch
+from .errors import InvalidInput
+from .mlp import forward_batch, forward_into
 from .ode import (
     BASE_METHODS,
     EULER,
@@ -38,7 +39,7 @@ def max_abs_error(trajectory: Trajectory, exact) -> float:
     ``exact`` is a callable x -> state or a precomputed (M+1, n) array.
     """
     if callable(exact):
-        truth = np.stack([np.asarray(exact(x), float) for x in trajectory.xs])
+        truth = np.stack([np.asarray(exact(x), float) for x in trajectory.xs.tolist()])
     else:
         truth = np.asarray(exact, dtype=np.float64)
     if truth.shape != trajectory.ys.shape:
@@ -141,18 +142,31 @@ def stability_scan(
         raise ValueError("stability scan expects a network or zero corrector")
     problem = OdeProblem("linear_test", 1, lambda x, y: lam * y, (0.0, math.inf), np.ones(1))
     make_corrected_stepper(EULER, corrector, problem)  # checks the order and the network shape
+    params = corrector.params  # None for the zero corrector
+    if params is not None and not all(map(math.isfinite, hs)):
+        raise InvalidInput("non-finite network input")  # the first step's x is 0 * inf
     live, h, y = np.arange(len(hs)), np.array(hs), np.ones(len(hs))
-    for m in range(steps):
-        if not live.size:
-            break
-        x = m * h
-        with np.errstate(over="ignore", invalid="ignore"):
+    # Network inputs (x, x + h, y) and layer outputs for the whole grid; the
+    # live h use the leading rows. Finite h keep the inputs finite, since an h
+    # leaves once its state is not.
+    inputs = np.empty((len(hs), 3))
+    widths = params.layer_widths[1:] if params is not None else ()
+    outputs = [np.empty((len(hs), w)) for w in widths]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(steps):
+            n = live.size
+            if not n:
+                break
             y_next = y + h * (lam * y)
-            if corrector.kind == "network":
-                inputs = np.column_stack((x, x + h, y))
-                y_next += h**EULER.exponent * forward_batch(corrector.params, inputs)[:, 0]
+            if params is not None:
+                a = inputs[:n]
+                np.multiply(m, h, out=a[:, 0])
+                np.add(a[:, 0], h, out=a[:, 1])
+                a[:, 2] = y
+                n_vals = forward_into(params, a, [z[:n] for z in outputs])
+                y_next += h**EULER.exponent * n_vals[:, 0]
             keep = np.isfinite(y_next) & (np.abs(y_next) <= bound)
-        live, h, y = live[keep], h[keep], y_next[keep]
+            live, h, y = live[keep], h[keep], y_next[keep]
     bounded = np.zeros(len(hs), dtype=bool)
     bounded[live] = True
     return list(zip(hs, bounded.tolist()))

@@ -27,6 +27,7 @@ from .errors import (
 _MAGIC = b"FCN1"
 _FORMAT_VERSION = 1
 _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8  # Adam defaults of Kingma & Ba
+_ZERO = np.zeros(())  # ReLU's floor: a 0-d array spares np.maximum a float conversion per call
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def forward_into(params, a: np.ndarray, outputs: Iterable[np.ndarray]) -> np.nda
         np.dot(a, w.T, out=z)
         z += b
         if k < last:
-            np.maximum(z, 0.0, out=z)
+            np.maximum(z, _ZERO, out=z)
         a = z
     return a
 

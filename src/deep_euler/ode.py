@@ -21,6 +21,10 @@ Rhs = Callable[[float, np.ndarray], np.ndarray]
 # of problems without a closed form.
 REFERENCE_TOL = 1e-6
 
+# The error state of every step and solve: overflow and invalid operations are
+# reported through NonFiniteState, not as warnings.
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+
 
 @dataclass(frozen=True)
 class OdeProblem:
@@ -114,16 +118,22 @@ class StepSchedule:
         return xs
 
 
-# Overflow here is reported through NonFiniteState, not a warning.
-@np.errstate(over="ignore", invalid="ignore")
 def _eval_rhs(problem: OdeProblem, x, y: np.ndarray) -> np.ndarray:
+    """f(x, y), checked for shape and finiteness. Overflow is reported through
+    NonFiniteState, not a warning: the steps, scaled_defect and solve_fixed
+    enter _QUIET once around it."""
     k = np.asarray(problem.rhs(x, y), dtype=np.float64)
     if k.shape != y.shape:
         raise ValueError(f"rhs returned shape {k.shape}, expected {y.shape}")
+    if k.ndim == 1:
+        # One state: a test on Python floats costs a fraction of np.isfinite's call.
+        if not all(map(math.isfinite, k.tolist())):
+            raise NonFiniteState(x)
+        return k
     finite = np.isfinite(k)
     if not finite.all():
-        # For a batch, the first abscissa whose column is not finite.
-        raise NonFiniteState(x if np.ndim(x) == 0 else x[~finite.all(axis=0)][0])
+        # The first abscissa whose column is not finite.
+        raise NonFiniteState(x[~finite.all(axis=0)][0])
     return k
 
 
@@ -141,12 +151,14 @@ def heun_increment(problem: OdeProblem, x, y: np.ndarray, h) -> np.ndarray:
 
 def euler_step(problem: OdeProblem, x: float, y: np.ndarray, h: float) -> np.ndarray:
     """One forward Euler step, first order."""
-    return y + h * euler_increment(problem, x, y, h)
+    with np.errstate(**_QUIET):
+        return y + h * euler_increment(problem, x, y, h)
 
 
 def heun_step(problem: OdeProblem, x: float, y: np.ndarray, h: float) -> np.ndarray:
     """One Heun step, second order."""
-    return y + h * heun_increment(problem, x, y, h)
+    with np.errstate(**_QUIET):
+        return y + h * heun_increment(problem, x, y, h)
 
 
 @dataclass(frozen=True)
@@ -180,7 +192,8 @@ def scaled_defect(method: BaseMethod, problem: OdeProblem, x_i, z_i, x_j, z_j) -
     with dx = x_j - x_i. Takes a batch, abscissae of shape (B,) and states
     of shape (dim, B), and returns (dim, B)."""
     dx = x_j - x_i
-    return (z_j - z_i - dx * method.increment(problem, x_i, z_i, dx)) / dx**method.exponent
+    with np.errstate(**_QUIET):
+        return (z_j - z_i - dx * method.increment(problem, x_i, z_i, dx)) / dx**method.exponent
 
 
 def solve_fixed(problem: OdeProblem, schedule: StepSchedule, stepper) -> Trajectory:
@@ -189,13 +202,16 @@ def solve_fixed(problem: OdeProblem, schedule: StepSchedule, stepper) -> Traject
     ys = np.empty((len(xs), problem.dim), dtype=np.float64)
     ys[0] = problem.initial
     mesh = xs.tolist()  # Python floats: cheaper scalar arithmetic, same values
-    for m, (x, x_next) in enumerate(zip(mesh, mesh[1:])):
-        try:
-            ys[m + 1] = stepper(problem, x, ys[m], x_next - x)
-        except NonFiniteState as err:
-            raise NonFiniteState(err.x, step=m) from None
-        if not np.isfinite(ys[m + 1]).all():
-            raise NonFiniteState(x, step=m)
+    # One error state for the whole solve: a step's overflow, the correction's
+    # included, ends in NonFiniteState below, not in a warning.
+    with np.errstate(**_QUIET):
+        for m, (x, x_next) in enumerate(zip(mesh, mesh[1:])):
+            try:
+                ys[m + 1] = stepper(problem, x, ys[m], x_next - x)
+            except NonFiniteState as err:
+                raise NonFiniteState(err.x, step=m) from None
+            if not all(map(math.isfinite, ys[m + 1].tolist())):
+                raise NonFiniteState(x, step=m)
     return Trajectory(xs, ys)
 
 
@@ -253,7 +269,8 @@ def evaluate_truth(problem: OdeProblem, xs) -> np.ndarray:
     """Ground-truth states at xs: the exact solution if present, else a reference solve."""
     xs = np.asarray(xs, dtype=np.float64)
     if problem.exact is not None:
-        return np.stack([np.asarray(problem.exact(x), float) for x in xs])
+        # Python floats: the closed forms use math.*, which takes them faster.
+        return np.stack([np.asarray(problem.exact(x), float) for x in xs.tolist()])
     return solve_reference(problem, xs).ys
 
 

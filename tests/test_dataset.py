@@ -1,6 +1,7 @@
 """Measurement sampling, scaled-defect targets and pair building."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,18 @@ class TestBuildPairs:
             build_pairs(prob, ms, PairPolicy.all_pairs())
         assert info.value.x == 2.0
         assert str(info.value) == "non-finite state at x=2.0"
+
+    def test_overflowing_rhs_raises_without_warning(self):
+        # The field overflows from x = 2 on: an error, and no RuntimeWarning.
+        prob = scalar_problem(lambda x, y: np.where(x >= 2.0, 1e200, 1.0) * 1e200 + 0.0 * y)
+        ms = measurements_at([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0])
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState) as info:
+                build_pairs(prob, ms, PairPolicy.all_pairs())
+        assert info.value.x == 2.0
+        assert np.geterr() == before
 
     @pytest.mark.parametrize("gap", [-1.0, float("nan")], ids=["negative", "nan"])
     def test_min_gap_rejects_a_gap_below_zero_or_nan(self, gap):

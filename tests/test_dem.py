@@ -304,3 +304,17 @@ class TestNonFiniteMidSolve:
                 solve_dem(prob, corr, schedule)
         assert info.value.step == step
         assert info.value.x == schedule.mesh(0.0, 1.0)[step]
+
+    def test_correction_overflow_raises_without_warning(self, problems):
+        # h^2 times a last bias of 1e308 overflows in the first step's correction.
+        params = clipped_net(EX1_NET, seed=1)
+        biases = params.biases[:-1] + (np.full(1, 1e308),)
+        corr = Corrector.network(MlpParams(params.layer_widths, params.weights, biases), 2)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState) as info:
+                solve_dem(problems["example1"], corr, StepSchedule.uniform(2.0))
+        assert (info.value.x, info.value.step) == (0.0, 0)
+        assert str(info.value) == "non-finite state at x=0.0 (step 0)"
+        assert np.geterr() == before

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deep_euler.dem import Corrector, make_corrected_stepper
-from deep_euler.errors import NonFiniteState
+from deep_euler.errors import InvalidInput, NonFiniteState
 from deep_euler.metrics import (
     convergence_order,
     eps_mean,
@@ -17,7 +17,7 @@ from deep_euler.metrics import (
     region_mask,
     stability_scan,
 )
-from deep_euler.mlp import MlpParams, clip_weights, init, lipschitz_bound
+from deep_euler.mlp import MlpParams, clip_weights, forward_batch, init, lipschitz_bound
 from deep_euler.ode import (
     EULER,
     OdeProblem,
@@ -219,6 +219,36 @@ class TestStabilityScan:
         got = stability_scan(lam, corrector, grid, steps=steps, bound=bound)
         assert got == reference_scan(lam, corrector, grid, steps, bound)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lam=st.floats(-10.0, -0.5),
+        grid=st.lists(st.floats(1e-3, 1.5), min_size=1, max_size=12),
+        hidden=st.lists(st.integers(1, 16), min_size=0, max_size=3),
+        seed=st.integers(0, 2**16),
+        ln=st.floats(0.5, 8.0),
+        bias_scale=st.sampled_from([0.0, 0.1, 1.0]),
+        steps=st.integers(1, 300),
+        bound=st.floats(1.5, 100.0),
+    )
+    @example(lam=-5.0, grid=[0.1, 0.2, 0.3, 0.4, 0.5], hidden=[80] * 8, seed=0, ln=1.0,
+             bias_scale=0.1, steps=1000, bound=10.0)
+    def test_flags_equal_the_forward_batch_lockstep(
+        self, lam, grid, hidden, seed, ln, bias_scale, steps, bound
+    ):
+        params = clip_weights(init([3, *hidden, 1], seed), ln)
+        rng = np.random.default_rng(seed)
+        biases = tuple(rng.normal(scale=bias_scale, size=b.shape) for b in params.biases)
+        corr = Corrector.network(MlpParams(params.layer_widths, params.weights, biases), 2)
+        got = stability_scan(lam, corr, grid, steps=steps, bound=bound)
+        assert got == reference_lockstep_scan(lam, corr, grid, steps, bound)
+
+    def test_infinite_step_is_a_non_finite_network_input(self):
+        corr = clipped_linear_corrector(6.0)
+        with pytest.raises(InvalidInput, match="non-finite network input"):
+            stability_scan(-5.0, corr, [0.1, math.inf])
+        assert stability_scan(-5.0, Corrector.zero(2), [0.1, math.inf]) == [
+            (0.1, True), (math.inf, False)]
+
     def test_oracle_rejected(self, exp_problem):
         with pytest.raises(ValueError, match="network or zero"):
             stability_scan(-5.0, Corrector.oracle(exp_problem, 2), [0.1])
@@ -251,3 +281,24 @@ def reference_scan(lam, corrector, h_grid, steps, bound):
                 break
         results.append((h, bounded))
     return results
+
+
+def reference_lockstep_scan(lam, corrector, h_grid, steps, bound):
+    """The lockstep scan as it was before its network buffers were bound: a
+    fresh input array and forward_batch on every step."""
+    hs = [float(h) for h in h_grid]
+    live, h, y = np.arange(len(hs)), np.array(hs), np.ones(len(hs))
+    for m in range(steps):
+        if not live.size:
+            break
+        x = m * h
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_next = y + h * (lam * y)
+            if corrector.kind == "network":
+                inputs = np.column_stack((x, x + h, y))
+                y_next += h**EULER.exponent * forward_batch(corrector.params, inputs)[:, 0]
+            keep = np.isfinite(y_next) & (np.abs(y_next) <= bound)
+        live, h, y = live[keep], h[keep], y_next[keep]
+    bounded = np.zeros(len(hs), dtype=bool)
+    bounded[live] = True
+    return list(zip(hs, bounded.tolist()))

@@ -144,6 +144,48 @@ class TestSteppers:
         assert np.geterr() == before  # the error state is restored on the way out
 
 
+# Float64 values for the finiteness checks: NaN, both infinities, both
+# zeros, subnormals, the largest finite values and ordinary numbers.
+SPECIAL_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, max_value=1e-300,
+              min_value=-1e-300),
+)
+
+
+class TestFiniteChecks:
+    """A one-state rhs and a solve's post-step check test Python floats,
+    not np.isfinite; both must agree with np.isfinite(a).all()."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(SPECIAL_FLOATS, min_size=1, max_size=6))
+    def test_rhs_check_agrees_with_isfinite(self, values):
+        a = np.array(values)
+        prob = OdeProblem("const", len(a), lambda x, y: a.copy(), (0.0, 1.0), np.zeros(len(a)))
+        if np.isfinite(a).all():
+            assert np.array_equal(euler_step(prob, 0.0, np.zeros(len(a)), 1.0), a)
+        else:
+            with pytest.raises(NonFiniteState) as exc:
+                euler_step(prob, 0.0, np.zeros(len(a)), 1.0)
+            assert exc.value.x == 0.0 and exc.value.step is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(SPECIAL_FLOATS, min_size=1, max_size=6))
+    def test_post_step_check_agrees_with_isfinite(self, values):
+        a = np.array(values)
+        prob = OdeProblem("const", len(a), lambda x, y: y, (0.0, 1.0), np.zeros(len(a)))
+        schedule = StepSchedule.uniform(0.5)
+        if np.isfinite(a).all():
+            traj = solve_fixed(prob, schedule, lambda problem, x, y, h: a)
+            assert traj.ys[1:].tobytes() == np.stack([a, a]).tobytes()
+        else:
+            with pytest.raises(NonFiniteState) as exc:
+                solve_fixed(prob, schedule, lambda problem, x, y, h: a)
+            assert (exc.value.x, exc.value.step) == (0.0, 0)
+
+
 class TestSolveFixed:
     def test_single_step_trajectory_has_two_points(self):
         prob = scalar_problem(lambda x, y: np.ones(1))
@@ -165,6 +207,21 @@ class TestSolveFixed:
         with pytest.raises(NonFiniteState) as exc:
             solve_fixed(prob, StepSchedule.uniform(0.1), euler_step)
         assert exc.value.step == 3
+
+    def test_heun_second_stage_reports_its_abscissa_and_step(self):
+        # f is finite at x = 0.25 and infinite from x = 0.5 on, so step 1's
+        # second stage, at x + h = 0.5, is the first bad evaluation.
+        def rhs(x, y):
+            return np.array([math.inf]) if x >= 0.5 else np.ones(1)
+
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState) as exc:
+                solve_fixed(scalar_problem(rhs), StepSchedule.uniform(0.25), heun_step)
+        assert (exc.value.x, exc.value.step) == (0.5, 1)
+        assert str(exc.value) == "non-finite state at x=0.5 (step 1)"
+        assert np.geterr() == before
 
     @pytest.mark.parametrize(
         "stepper,expected_ratio,tol",
