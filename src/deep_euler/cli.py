@@ -198,6 +198,12 @@ def _network_corrector(method, checkpoint) -> dem.Corrector:
     return dem.Corrector.network(mlp.load_model(data), method.exponent)
 
 
+def _unread_checkpoint(checkpoint, reason: str) -> None:
+    """ConfigError when a checkpoint is given to a run that would not read it."""
+    if checkpoint is not None:
+        raise ConfigError(f"checkpoint: not read {reason}")
+
+
 def _method_stepper(name: str, problem, checkpoint, oracle: bool = False):
     """The stepper that --method ``name`` selects, and its corrector (None for
     a base method)."""
@@ -206,8 +212,10 @@ def _method_stepper(name: str, problem, checkpoint, oracle: bool = False):
         if oracle:
             corrected = " or ".join(m.corrected for m in BASE_METHODS.values())
             raise ConfigError(f"oracle: needs a corrected method ({corrected}), got {name}")
+        _unread_checkpoint(checkpoint, f"by method {name}")
         return method.step, None
     if oracle:
+        _unread_checkpoint(checkpoint, "with --oracle")
         corrector = dem.Corrector.oracle(problem, method.exponent)
     else:
         corrector = _network_corrector(method, checkpoint)
@@ -229,6 +237,7 @@ def cmd_solve(args) -> int:
     if args.interval is not None:
         problem = restrict(problem, args.interval[0], args.interval[1])
     schedule = StepSchedule.uniform(args.h)
+    schedule.mesh(*problem.domain)  # h must fit the interval before a checkpoint is read
     stepper, corrector = _method_stepper(args.method, problem, args.checkpoint)
     trajectory = solve_fixed(problem, schedule, stepper)
     components = range(1, problem.dim + 1)
@@ -375,6 +384,7 @@ def cmd_table3(args) -> int:
 
 def cmd_convergence(args) -> int:
     problem = get_problem(args.problem)
+    metrics.halving_schedules(problem, args.h_list)  # checked before a checkpoint is read
     stepper, _ = _method_stepper(args.method, problem, args.checkpoint, args.oracle)
     estimate = metrics.convergence_order(problem, stepper, args.h_list)
     rows = [(h, err, estimate.order, estimate.degenerate)
@@ -387,6 +397,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_stability(args) -> int:
     if args.clip_ln is not None:
+        _unread_checkpoint(args.checkpoint, "with --clip-ln")
         # Linear single-layer corrector whose Lipschitz bound equals clip_ln,
         # produced by clipping an over-scaled row.
         row = 2.0 * args.clip_ln

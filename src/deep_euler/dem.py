@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CorrectorShapeError, OrderMismatch
-from .mlp import MlpParams, forward_into
+from .mlp import MlpParams, bind_layers, forward_into
 from .ode import EULER, HEUN, BaseMethod, OdeProblem, StepSchedule, Trajectory, flow, solve_fixed
 
 
@@ -64,20 +64,23 @@ class Corrector:
 def make_corrected_stepper(method: BaseMethod, corrector: Corrector, problem: OdeProblem):
     """Bind a corrector to a base method and a problem, checking the order and
     a network's shape once; the stepper returns base + h^q * correction. A
-    network stepper reuses its buffers and returns its last one, so it serves
-    one solve at a time, and does not check its state: a solve already has."""
+    zero corrector gives the method's public step. The oracle and network
+    steppers take the base from the method's advance, which enters no error
+    state: they serve inside solve_fixed, which holds one for the whole solve.
+    A network stepper binds its layers and buffers once, so it serves one
+    solve at a time, and does not check its state: a solve already has."""
     q = corrector.order_exponent
     if q != method.exponent:
         raise OrderMismatch(
             f"corrector exponent {q} does not match {method.name} order {method.order} + 1"
         )
-    base_stepper = method.step
     if corrector.kind == "zero":
-        return base_stepper
+        return method.step
+    advance = method.advance
     if corrector.kind == "oracle":
 
         def oracle_stepper(problem, x, y, h):
-            base = base_stepper(problem, x, y, h)
+            base = advance(problem, x, y, h)
             # True scaled defect along the local flow: the step is exact locally.
             correction = (flow(problem, x, y, x + h) - base) / h**q + corrector.offset
             return base + h**q * correction
@@ -92,18 +95,14 @@ def make_corrected_stepper(method: BaseMethod, corrector: Corrector, problem: Od
             f"{problem.dim + 2} -> {problem.dim}"
         )
     inp = np.empty(widths[0])
-    outputs = [np.empty(w) for w in widths[1:]]
+    layers = tuple(bind_layers(params, [np.empty(w) for w in widths[1:]]))
 
     def network_stepper(problem, x, y, h):
-        base = base_stepper(problem, x, y, h)
+        base = advance(problem, x, y, h)
         inp[0] = x
         inp[1] = x + h
         inp[2:] = y
-        # In place, with the bits of base + h**q * N: IEEE + and * commute.
-        out = forward_into(params, inp, outputs)
-        out *= h**q
-        out += base
-        return out
+        return base + h**q * forward_into(layers, inp)
 
     return network_stepper
 

@@ -9,8 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dem import Corrector, make_corrected_stepper
-from .errors import InvalidInput
-from .mlp import forward_batch, forward_into
+from .mlp import bind_layers, forward_batch, forward_into
 from .ode import (
     BASE_METHODS,
     EULER,
@@ -95,12 +94,10 @@ def region_mask(ends: np.ndarray, region: tuple[float, float]) -> np.ndarray:
     return mask
 
 
-def convergence_order(
-    problem: OdeProblem,
-    stepper,
-    h_list: Sequence[float],
-) -> OrderEstimate:
-    """Slope of log(max error) against log(h) for a halving sequence of steps."""
+def halving_schedules(problem: OdeProblem, h_list: Sequence[float]) -> list[StepSchedule]:
+    """The uniform schedule of each step size of a convergence measurement on
+    ``problem``, checked: at least 3 steps, each half the one before and
+    fitting the domain, and an exact solution to measure the error against."""
     hs = [float(h) for h in h_list]
     if len(hs) < 3:
         raise ValueError("need at least 3 step sizes")
@@ -109,10 +106,22 @@ def convergence_order(
             raise ValueError(f"step sizes must halve, got {h_prev} then {h_next}")
     if problem.exact is None:
         raise ValueError("convergence measurement needs an exact solution")
-    errors = []
-    for h in hs:
-        traj = solve_fixed(problem, StepSchedule.uniform(h), stepper)
-        errors.append(max_abs_error(traj, problem.exact))
+    schedules = [StepSchedule.uniform(h) for h in hs]
+    for schedule in schedules:
+        schedule.mesh(*problem.domain)
+    return schedules
+
+
+def convergence_order(
+    problem: OdeProblem,
+    stepper,
+    h_list: Sequence[float],
+) -> OrderEstimate:
+    """Slope of log(max error) against log(h) for a halving sequence of steps."""
+    schedules = halving_schedules(problem, h_list)
+    hs = [schedule.h for schedule in schedules]
+    errors = [max_abs_error(solve_fixed(problem, schedule, stepper), problem.exact)
+              for schedule in schedules]
     if min(errors) < 1e-12:
         return OrderEstimate(math.inf, True, tuple(hs), tuple(errors))
     slope = np.polyfit(np.log(hs), np.log(errors), 1)[0]
@@ -134,8 +143,8 @@ def stability_scan(
     h leaves once unbounded or non-finite. The flags are the result: batched
     network values can differ from a one-h solve at rounding level."""
     hs = [float(h) for h in h_grid]
-    if not (lam < 0 and all(h > 0 for h in hs)):
-        raise ValueError("stability scan expects lam < 0 and positive step sizes")
+    if not (lam < 0 and all(0 < h < math.inf for h in hs)):
+        raise ValueError("stability scan expects lam < 0 and finite positive step sizes")
     if steps < 1 or not bound > 0:
         raise ValueError(f"stability scan expects steps >= 1 and bound > 0, got {steps}, {bound}")
     if corrector.kind == "oracle":
@@ -143,8 +152,6 @@ def stability_scan(
     problem = OdeProblem("linear_test", 1, lambda x, y: lam * y, (0.0, math.inf), np.ones(1))
     make_corrected_stepper(EULER, corrector, problem)  # checks the order and the network shape
     params = corrector.params  # None for the zero corrector
-    if params is not None and not all(map(math.isfinite, hs)):
-        raise InvalidInput("non-finite network input")  # the first step's x is 0 * inf
     live, h, y = np.arange(len(hs)), np.array(hs), np.ones(len(hs))
     # Network inputs (x, x + h, y) and layer outputs for the whole grid; the
     # live h use the leading rows. Finite h keep the inputs finite, since an h
@@ -163,7 +170,7 @@ def stability_scan(
                 np.multiply(m, h, out=a[:, 0])
                 np.add(a[:, 0], h, out=a[:, 1])
                 a[:, 2] = y
-                n_vals = forward_into(params, a, [z[:n] for z in outputs])
+                n_vals = forward_into(bind_layers(params, [z[:n] for z in outputs]), a)
                 y_next += h**EULER.exponent * n_vals[:, 0]
             keep = np.isfinite(y_next) & (np.abs(y_next) <= bound)
             live, h, y = live[keep], h[keep], y_next[keep]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -138,19 +138,34 @@ def init(layer_widths: Sequence[int], seed: int) -> MlpParams:
     return MlpParams(widths, tuple(weights), tuple(biases))
 
 
-def forward_into(params, a: np.ndarray, outputs: Iterable[np.ndarray]) -> np.ndarray:
-    """The network, without checks, on one input vector (p_0,) or a batch
-    (B, p_0): ReLU between layers, the last layer linear. ``params`` is an
-    MlpParams or a FlatLayers. Layer k writes the k-th buffer of ``outputs``,
-    and the last one is returned."""
+def bind_layers(params, outputs: Iterable[np.ndarray]) -> Iterator[tuple]:
+    """The layers of ``params`` (an MlpParams or a FlatLayers) as forward_into
+    runs them: (w.T, bias, output buffer, whether ReLU follows) per layer,
+    layer k writing the k-th buffer of ``outputs``. The weights are bound as
+    w.T views: a contiguous copy would run another gemv kernel, with other
+    bits. Lazy, so that a generator of buffers allocates each one only when
+    its layer runs; a caller that runs the network often binds a tuple once."""
     last = len(params.weights) - 1
     for k, (w, b, z) in enumerate(zip(params.weights, params.biases, outputs)):
+        yield w.T, b, z, k < last
+
+
+def forward_into(layers: Iterable[tuple], a: np.ndarray) -> np.ndarray:
+    """The network, without checks, on one input vector (p_0,) or a batch
+    (B, p_0), over ``layers`` from bind_layers: ReLU between layers, the last
+    layer linear. Returns a fresh array; every buffer is overwritten."""
+    dot, add, maximum = np.dot, np.add, np.maximum  # looked up once per call, not per layer
+    for wt, b, z, relu in layers:
         # np.dot, not np.matmul: on one vector matmul is slower per layer.
-        np.dot(a, w.T, out=z)
-        z += b
-        if k < last:
-            np.maximum(z, _ZERO, out=z)
-        a = z
+        dot(a, wt, z)
+        if relu:
+            add(z, b, z)
+            maximum(z, _ZERO, out=z)  # numpy deprecates a positional out for maximum
+            a = z
+        else:
+            # Not in place: numpy's in-place add on a one-element array, the
+            # output of a one-dimensional problem's corrector, takes twice as long.
+            a = add(z, b)
     return a
 
 
@@ -164,7 +179,8 @@ def forward_batch(params: MlpParams, xs) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise InvalidInput("non-finite network input")
     # A generator, so that only two layers' outputs are alive at a time.
-    return forward_into(params, a, (np.empty((len(a), w)) for w in params.layer_widths[1:]))
+    buffers = (np.empty((len(a), w)) for w in params.layer_widths[1:])
+    return forward_into(bind_layers(params, buffers), a)
 
 
 def loss_and_grad(
@@ -190,7 +206,7 @@ def loss_and_grad(
         work = Workspace(params.layer_widths, batch)
 
     outputs = [buf[:batch] for buf in work.outputs]
-    diff = np.subtract(forward_into(params, x, outputs), y, out=outputs[-1])
+    diff = np.subtract(forward_into(bind_layers(params, outputs), x), y, out=outputs[-1])
     loss = float(np.add.reduce(np.abs(diff), axis=None) / batch)
 
     dz = np.sign(diff, out=diff)

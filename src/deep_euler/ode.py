@@ -120,7 +120,7 @@ class StepSchedule:
 
 def _eval_rhs(problem: OdeProblem, x, y: np.ndarray) -> np.ndarray:
     """f(x, y), checked for shape and finiteness. Overflow is reported through
-    NonFiniteState, not a warning: the steps, scaled_defect and solve_fixed
+    NonFiniteState, not a warning: the public steps, scaled_defect and solve_fixed
     enter _QUIET once around it."""
     k = np.asarray(problem.rhs(x, y), dtype=np.float64)
     if k.shape != y.shape:
@@ -150,21 +150,25 @@ def heun_increment(problem: OdeProblem, x, y: np.ndarray, h) -> np.ndarray:
 
 
 def euler_step(problem: OdeProblem, x: float, y: np.ndarray, h: float) -> np.ndarray:
-    """One forward Euler step, first order."""
+    """One forward Euler step, first order: EULER's advance under _QUIET, for
+    callers outside a solve."""
     with np.errstate(**_QUIET):
-        return y + h * euler_increment(problem, x, y, h)
+        return EULER.advance(problem, x, y, h)
 
 
 def heun_step(problem: OdeProblem, x: float, y: np.ndarray, h: float) -> np.ndarray:
-    """One Heun step, second order."""
+    """One Heun step, second order: HEUN's advance under _QUIET, for callers
+    outside a solve."""
     with np.errstate(**_QUIET):
-        return y + h * heun_increment(problem, x, y, h)
+        return HEUN.advance(problem, x, y, h)
 
 
 @dataclass(frozen=True)
 class BaseMethod:
-    """A classical single-step method of the given order: ``step`` is
-    y + h * ``increment``. Its corrected form, named ``corrected``, adds
+    """A classical single-step method of the given order. ``advance`` is
+    y + h * ``increment`` in the caller's error state, for callers that hold
+    _QUIET, as solve_fixed does; ``step`` is the public step, the same under
+    _QUIET of its own. Its corrected form, named ``corrected``, adds
     h^(order+1) times a correction to each step."""
 
     name: str
@@ -177,6 +181,10 @@ class BaseMethod:
     def exponent(self) -> int:
         """The power of h that scales the correction."""
         return self.order + 1
+
+    def advance(self, problem: OdeProblem, x: float, y: np.ndarray, h: float) -> np.ndarray:
+        """One step, y + h * increment, with no error state of its own."""
+        return y + h * self.increment(problem, x, y, h)
 
 
 EULER = BaseMethod("euler", euler_increment, euler_step, order=1, corrected="dem")
@@ -202,16 +210,21 @@ def solve_fixed(problem: OdeProblem, schedule: StepSchedule, stepper) -> Traject
     ys = np.empty((len(xs), problem.dim), dtype=np.float64)
     ys[0] = problem.initial
     mesh = xs.tolist()  # Python floats: cheaper scalar arithmetic, same values
+    # A public step enters _QUIET on every call; its row's advance is the same
+    # step inside the solve's own.
+    stepper = next((m.advance for m in BASE_METHODS.values() if stepper is m.step), stepper)
+    isfinite, y = math.isfinite, ys[0]
     # One error state for the whole solve: a step's overflow, the correction's
     # included, ends in NonFiniteState below, not in a warning.
     with np.errstate(**_QUIET):
-        for m, (x, x_next) in enumerate(zip(mesh, mesh[1:])):
+        for m, (x, x_next, row) in enumerate(zip(mesh, mesh[1:], ys[1:])):
             try:
-                ys[m + 1] = stepper(problem, x, ys[m], x_next - x)
+                row[...] = stepper(problem, x, y, x_next - x)
             except NonFiniteState as err:
                 raise NonFiniteState(err.x, step=m) from None
-            if not all(map(math.isfinite, ys[m + 1].tolist())):
+            if not all(map(isfinite, row.tolist())):
                 raise NonFiniteState(x, step=m)
+            y = row
     return Trajectory(xs, ys)
 
 

@@ -391,12 +391,29 @@ class TestRejectedArguments:
             ["stability", "--h-grid", 0.1, "--clip-ln", 1e308],
             ["train", "--problem", "example1", "--points", 10, "--epochs", 1,
              "--min-gap", "nan"],
+            ["solve", "--problem", "example1", "--method", "euler", "--h", 1,
+             "--checkpoint", "{missing}"],
+            ["convergence", "--problem", "example1", "--method", "heun",
+             "--h-list", 0.4, 0.2, 0.1, "--checkpoint", CHECKPOINT],
+            ["convergence", "--problem", "example1", "--method", "dem", "--oracle",
+             "--h-list", 0.4, 0.2, 0.1, "--checkpoint", "{missing}"],
+            ["stability", "--h-grid", 0.9, 0.5, 0.1, "--clip-ln", 1.0,
+             "--checkpoint", "{missing}"],
+            ["stability", "--h-grid", 0.1, "inf"],
+            ["stability", "--h-grid", 0.1, "inf", "--checkpoint", CHECKPOINT],
+            ["convergence", "--problem", "kepler", "--method", "dhm",
+             "--h-list", 0, 0.2, 0.1, "--checkpoint", CHECKPOINT],
+            ["solve", "--problem", "lotka_volterra", "--method", "dhm", "--h", 6,
+             "--interval", 0, 5, "--checkpoint", CHECKPOINT],
         ],
         ids=["h_zero", "h_longer_than_domain", "reversed_interval", "positive_lam",
              "missing_checkpoint", "two_h_values", "zero_seeds", "negative_steps",
              "zero_bound", "oracle_euler", "oracle_heun", "one_point", "negative_seed",
              "zero_h_in_list", "infinite_clip_ln", "nan_clip_ln", "clip_ln_row_overflows",
-             "nan_min_gap"],
+             "nan_min_gap", "checkpoint_unread_by_euler", "checkpoint_unread_by_heun",
+             "checkpoint_unread_with_oracle", "checkpoint_unread_with_clip_ln",
+             "infinite_h_grid_zero", "infinite_h_grid_checkpoint",
+             "zero_h_before_checkpoint_shape", "long_h_before_checkpoint_shape"],
     )
     def test_exits_2(self, tmp_path, capsys, argv):
         argv = [str(a).format(missing=tmp_path / "missing.bin") for a in argv]

@@ -6,6 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import expm
+from test_mlp import MODERATE, networks, reference_forward_one
 
 from deep_euler.dem import Corrector, make_corrected_stepper, solve_dem, solve_dhm
 from deep_euler.errors import CorrectorShapeError, NonFiniteState, OrderMismatch
@@ -96,6 +101,19 @@ class TestOracleCorrector:
         prob = problems["example1"]
         traj = solve_dem(prob, Corrector.oracle(prob, 2), StepSchedule.uniform(0.1))
         assert max_abs_error(traj, prob.exact) <= 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), dim=st.integers(2, 4), h=st.sampled_from([0.1, 0.25, 0.5]))
+    def test_exact_on_random_linear_systems(self, data, dim, h):
+        # Entries in [-1, 1] bound the spectral radius by dim, so |y| stays below e^4 |y0|.
+        a = data.draw(arrays(np.float64, (dim, dim), elements=st.floats(-1.0, 1.0)), label="A")
+        y0 = data.draw(arrays(np.float64, dim, elements=st.floats(-1.0, 1.0)), label="y0")
+        prob = OdeProblem(name="linear", dim=dim, rhs=lambda x, y: a @ y, domain=(0.0, 1.0),
+                          initial=y0, exact=lambda x: expm(a * x) @ y0)
+        for solve, q in ((solve_dem, 2), (solve_dhm, 3)):
+            traj = solve(prob, Corrector.oracle(prob, q), StepSchedule.uniform(h))
+            truth = np.array([prob.exact(x) for x in traj.xs])
+            assert np.max(np.abs(traj.ys - truth)) <= 1e-9
 
     def test_requires_exact_solution(self, problems):
         with pytest.raises(ValueError):
@@ -276,6 +294,46 @@ class TestBoundPathBitwise:
                 corr.params, np.concatenate(([x, x + h], y))
             )
             assert step_once(step, prob, corr, x, y, h).tobytes() == want.tobytes()
+
+
+def linear_forced(dim):
+    """y' = cos(x) - y / 2 in ``dim`` components, from y = 1/2 on [0, 2]."""
+    return OdeProblem(name="forced", dim=dim, rhs=lambda x, y: np.cos(x) - 0.5 * y,
+                      domain=(0.0, 2.0), initial=np.full(dim, 0.5))
+
+
+class TestBoundPathProperties:
+    """On any network, the bound stepper and its solves have the bytes of the
+    public base step plus h^q times the per-layer forward."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), method=st.sampled_from([EULER, HEUN]), dim=st.integers(1, 4))
+    def test_step_is_base_plus_scaled_forward_bitwise(self, data, method, dim):
+        params = data.draw(networks(MODERATE, dim=dim), label="params")
+        problem = linear_forced(dim)
+        stepper = make_corrected_stepper(
+            method, Corrector.network(params, method.exponent), problem)
+        for _ in range(2):  # the second call reuses the bound buffers
+            x = data.draw(st.floats(-5.0, 5.0), label="x")
+            h = data.draw(st.floats(1e-3, 2.0), label="h")
+            y = data.draw(arrays(np.float64, dim, elements=MODERATE), label="y")
+            want = method.step(problem, x, y, h) + h**method.exponent * reference_forward_one(
+                params, np.concatenate(([x, x + h], y)))
+            assert stepper(problem, x, y, h).tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), method=st.sampled_from(["dem", "dhm"]), dim=st.integers(1, 4),
+           h=st.sampled_from([0.1, 0.25, 0.3, 0.7]))
+    def test_solve_equals_public_step_loop_bitwise(self, data, method, dim, h):
+        q = 2 if method == "dem" else 3
+        params = data.draw(networks(st.floats(-1.0, 1.0), dim=dim), label="params")
+        corr = Corrector.network(params, q)
+        problem = linear_forced(dim)
+        solve, base = (solve_dem, euler_step) if method == "dem" else (solve_dhm, heun_step)
+        traj = solve(problem, corr, StepSchedule.uniform(h))
+        xs, ys = reference_solve(problem, StepSchedule.uniform(h), base, corr)
+        assert traj.xs.tobytes() == xs.tobytes()
+        assert traj.ys.tobytes() == ys.tobytes()
 
 
 class TestNonFiniteMidSolve:

@@ -22,6 +22,7 @@ from deep_euler.mlp import (
     MlpParams,
     TrainConfig,
     adam_step,
+    bind_layers,
     clip_weights,
     forward_batch,
     forward_into,
@@ -40,9 +41,14 @@ def forward_one(params, x):
 
 
 def forward_into_one(params, x):
-    """forward_into, as the DEM stepper calls it, on fresh buffers."""
-    outputs = [np.empty(w) for w in params.layer_widths[1:]]
-    return forward_into(params, np.asarray(x, dtype=float), outputs)
+    """forward_into, as the DEM stepper calls it: on layers bound once to
+    fresh buffers, run twice."""
+    layers = tuple(bind_layers(params, [np.empty(w) for w in params.layer_widths[1:]]))
+    x = np.asarray(x, dtype=float)
+    first = forward_into(layers, x).copy()
+    again = forward_into(layers, x)
+    assert again.tobytes() == first.tobytes()
+    return again
 
 
 def single_layer(weight_rows, bias):
@@ -151,9 +157,13 @@ def reference_train(x, y, widths, config):
 
 
 @st.composite
-def networks(draw, values=st.floats(allow_nan=False, allow_infinity=False)):
-    """A network of 1-3 layers of widths 1-6 with parameters drawn from ``values``."""
+def networks(draw, values=st.floats(allow_nan=False, allow_infinity=False), dim=None):
+    """A network of 1-3 layers of widths 1-6 with parameters drawn from
+    ``values``; with ``dim``, one that maps dim + 2 inputs to dim outputs, the
+    shape of a corrector for a dim-dimensional problem."""
     widths = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    if dim is not None:
+        widths = [dim + 2, *widths[1:-1], dim]
     shapes = list(zip(widths[1:], widths[:-1]))
     weights = tuple(draw(arrays(np.float64, shape, elements=values)) for shape in shapes)
     biases = tuple(draw(arrays(np.float64, rows, elements=values)) for rows, _ in shapes)
@@ -287,7 +297,7 @@ class TestOneLayerLoop:
         rows = data.draw(st.integers(1, 8), label="rows")
         x = data.draw(arrays(np.float64, (rows, params.layer_widths[0]), elements=MODERATE))
         outputs = [np.empty((rows, w)) for w in params.layer_widths[1:]]
-        got = forward_into(params, x, outputs)
+        got = forward_into(bind_layers(params, outputs), x)
         assert got.tobytes() == forward_batch(params, x).tobytes()
         assert got.tobytes() == reference_forward_batch(params, x).tobytes()
 

@@ -223,6 +223,31 @@ class TestSolveFixed:
         assert str(exc.value) == "non-finite state at x=0.5 (step 1)"
         assert np.geterr() == before
 
+    @settings(max_examples=100, deadline=None)
+    @given(method=st.sampled_from(["euler", "heun"]), dim=st.integers(1, 4),
+           j=st.integers(0, 7))
+    def test_rhs_overflow_mid_solve_raises_quietly(self, method, dim, j):
+        # From x_j = j / 4 on, f overflows inside numpy (1e300 * 1e300); before
+        # it, f = y / 2. The mesh points are exact, and so is Heun's second
+        # abscissa x + h, so Heun meets x_j one step early, in its second stage.
+        x_j = 0.25 * j
+        prob = OdeProblem("late_overflow", dim,
+                          lambda x, y: y * 1e300 * 1e300 if x >= x_j else 0.5 * y,
+                          (0.0, 2.0), np.linspace(1.0, 2.0, dim))
+        stepper = euler_step if method == "euler" else heun_step
+        expected = (x_j, j if method == "euler" else max(j - 1, 0))
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState) as exc:
+                solve_fixed(prob, StepSchedule.uniform(0.25), stepper)
+            assert (exc.value.x, exc.value.step) == expected
+            assert np.geterr() == before
+            with pytest.raises(NonFiniteState) as exc:
+                stepper(prob, x_j, prob.initial, 0.25)
+            assert (exc.value.x, exc.value.step) == (x_j, None)
+        assert np.geterr() == before
+
     @pytest.mark.parametrize(
         "stepper,expected_ratio,tol",
         [(euler_step, 2.0, 0.2), (heun_step, 4.0, 0.4)],
