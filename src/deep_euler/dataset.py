@@ -41,14 +41,16 @@ class PairPolicy:
 
     gap: float = 0.0
 
+    def __post_init__(self):
+        if not self.gap >= 0:
+            raise ConfigError(f"min_gap: must be >= 0, got {self.gap}")
+
     @classmethod
     def all_pairs(cls) -> "PairPolicy":
         return cls()
 
     @classmethod
     def min_gap(cls, gap: float) -> "PairPolicy":
-        if not gap >= 0:
-            raise ConfigError(f"min_gap: must be >= 0, got {gap}")
         return cls(gap=float(gap))
 
 

@@ -153,12 +153,13 @@ def stability_scan(
     make_corrected_stepper(EULER, corrector, problem)  # checks the order and the network shape
     params = corrector.params  # None for the zero corrector
     live, h, y = np.arange(len(hs)), np.array(hs), np.ones(len(hs))
-    # Network inputs (x, x + h, y) and layer outputs for the whole grid; the
-    # live h use the leading rows. Finite h keep the inputs finite, since an h
-    # leaves once its state is not.
+    # Network inputs (x, x + h, y) and layer outputs for the whole grid; the live
+    # h use the leading rows, bound once per live count. Finite h keep the
+    # inputs finite, since an h leaves once its state is not.
     inputs = np.empty((len(hs), 3))
     widths = params.layer_widths[1:] if params is not None else ()
     outputs = [np.empty((len(hs), w)) for w in widths]
+    layers, bound_rows = (), 0
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(steps):
             n = live.size
@@ -166,11 +167,13 @@ def stability_scan(
                 break
             y_next = y + h * (lam * y)
             if params is not None:
+                if n != bound_rows:
+                    layers, bound_rows = tuple(bind_layers(params, [z[:n] for z in outputs])), n
                 a = inputs[:n]
                 np.multiply(m, h, out=a[:, 0])
                 np.add(a[:, 0], h, out=a[:, 1])
                 a[:, 2] = y
-                n_vals = forward_into(bind_layers(params, [z[:n] for z in outputs]), a)
+                n_vals = forward_into(layers, a)
                 y_next += h**EULER.exponent * n_vals[:, 0]
             keep = np.isfinite(y_next) & (np.abs(y_next) <= bound)
             live, h, y = live[keep], h[keep], y_next[keep]

@@ -2,9 +2,9 @@
 
 The network maps (x_i, x_j, y_i) to a truncation-error estimate, so the
 input width is always n+2 and the output width n for an n-dimensional
-problem. Training minimizes mean absolute error with Adam on one flat vector
-of all weights and biases (FlatLayers), which the gradient and both moments
-share; everything is float64 and deterministic for a fixed seed.
+problem. Training minimizes mean absolute error with Adam on MlpParams.data,
+one flat vector of all weights and biases in the layout of the gradient, both
+moments and the checkpoint; all is float64 and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -30,60 +30,61 @@ _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8  # Adam defaults of Kingma & Ba
 _ZERO = np.zeros(())  # ReLU's floor: a 0-d array spares np.maximum a float conversion per call
 
 
-@dataclass(frozen=True)
+def _chunk_sizes(widths: Sequence[int]) -> list[int]:
+    """Sizes of the flat parameter vector's chunks, in checkpoint payload
+    order: each layer's row-major weights, then its bias."""
+    return [n for rows, cols in zip(widths[1:], widths[:-1]) for n in (rows * cols, rows)]
+
+
 class MlpParams:
     """Weights and biases of an affine stack with ReLU between hidden layers.
 
     weights[k] has shape (layer_widths[k+1], layer_widths[k]); the final
-    layer is linear (no activation).
+    layer is linear (no activation). Both are views into ``data``, one
+    contiguous float64 vector in checkpoint payload order: each layer's
+    row-major weights, then its bias. The constructor copies the arrays it is
+    given into a fresh vector; ``flat`` wraps an existing one.
     """
 
-    layer_widths: tuple[int, ...]
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    def __init__(self, layer_widths: Sequence[int], weights: Sequence, biases: Sequence):
+        self._wrap(layer_widths)
+        if len(weights) != self.num_layers or len(biases) != self.num_layers:
+            raise InvalidArchitecture("one weight matrix and bias per layer required")
+        for k, (w, b, w_to, b_to) in enumerate(zip(weights, biases, self.weights, self.biases)):
+            if w.shape != w_to.shape or b.shape != b_to.shape:
+                raise InvalidArchitecture(f"layer {k}: weight {w.shape} / bias {b.shape} do not "
+                                          f"match widths {w_to.shape[0]}x{w_to.shape[1]}")
+            w_to[...], b_to[...] = w, b
+        self._check_finite()
 
-    def __post_init__(self):
-        widths = tuple(int(w) for w in self.layer_widths)
-        object.__setattr__(self, "layer_widths", widths)
+    @classmethod
+    def flat(cls, layer_widths: Sequence[int], data: Optional[np.ndarray] = None) -> MlpParams:
+        """Parameters whose views wrap ``data``, without a copy: a float64
+        vector of the size the widths need (else ValueError), zeros if omitted."""
+        params = cls.__new__(cls)
+        params._wrap(layer_widths, data)
+        params._check_finite()
+        return params
+
+    def _wrap(self, layer_widths: Sequence[int], data: Optional[np.ndarray] = None) -> None:
+        self.layer_widths = widths = tuple(int(w) for w in layer_widths)
         if len(widths) < 2 or any(w <= 0 for w in widths):
             raise InvalidArchitecture(f"invalid layer widths {widths}")
-        if len(self.weights) != len(widths) - 1 or len(self.biases) != len(widths) - 1:
-            raise InvalidArchitecture("one weight matrix and bias per layer required")
+        sizes = _chunk_sizes(widths)
+        self.data = np.zeros(sum(sizes)) if data is None else data
+        chunks = np.split(self.data, np.cumsum(sizes[:-1]))
+        self.weights = tuple(w.reshape(rows, cols)
+                             for w, rows, cols in zip(chunks[0::2], widths[1:], widths[:-1]))
+        self.biases = tuple(b.reshape(rows) for b, rows in zip(chunks[1::2], widths[1:]))
+
+    def _check_finite(self) -> None:
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (widths[k + 1], widths[k]) or b.shape != (widths[k + 1],):
-                raise InvalidArchitecture(
-                    f"layer {k}: weight {w.shape} / bias {b.shape} do not match "
-                    f"widths {widths[k + 1]}x{widths[k]}"
-                )
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise InvalidArchitecture(f"layer {k}: non-finite parameters")
 
     @property
     def num_layers(self) -> int:
         return len(self.weights)
-
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-
-class FlatLayers:
-    """Per-layer weight and bias views into one contiguous float64 vector, in
-    checkpoint payload order: each layer's row-major weights, then its bias."""
-
-    def __init__(self, layer_widths: Sequence[int], data: Optional[np.ndarray] = None):
-        self.layer_widths = tuple(int(w) for w in layer_widths)
-        shapes = list(zip(self.layer_widths[1:], self.layer_widths[:-1]))
-        sizes = [n for rows, cols in shapes for n in (rows * cols, rows)]
-        self.data = np.zeros(sum(sizes)) if data is None else data
-        ends = np.cumsum(sizes).tolist()
-        chunks = [self.data[end - size : end] for size, end in zip(sizes, ends)]
-        self.weights = tuple(w.reshape(shape) for w, shape in zip(chunks[0::2], shapes))
-        self.biases = tuple(chunks[1::2])
-
-    @classmethod
-    def of(cls, params: MlpParams) -> FlatLayers:
-        parts = [a.ravel() for wb in zip(params.weights, params.biases) for a in wb]
-        return cls(params.layer_widths, np.concatenate(parts))
 
 
 class Workspace:
@@ -91,7 +92,7 @@ class Workspace:
     across calls: each layer's output, and the flat gradient."""
 
     def __init__(self, layer_widths: Sequence[int], batch_size: int):
-        self.grad = FlatLayers(layer_widths)
+        self.grad = MlpParams.flat(layer_widths)
         self.outputs = [np.empty((batch_size, w)) for w in self.grad.layer_widths[1:]]
 
 
@@ -125,26 +126,21 @@ class TrainConfig:
 
 def init(layer_widths: Sequence[int], seed: int) -> MlpParams:
     """He-uniform weights (bound sqrt(6/fan_in)), zero biases."""
-    widths = tuple(int(w) for w in layer_widths)
-    if len(widths) < 2 or any(w <= 0 for w in widths):
-        raise InvalidArchitecture(f"invalid layer widths {widths}")
+    params = MlpParams.flat(layer_widths)
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        bound = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(widths, tuple(weights), tuple(biases))
+    for w in params.weights:
+        bound = np.sqrt(6.0 / w.shape[1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
-def bind_layers(params, outputs: Iterable[np.ndarray]) -> Iterator[tuple]:
-    """The layers of ``params`` (an MlpParams or a FlatLayers) as forward_into
-    runs them: (w.T, bias, output buffer, whether ReLU follows) per layer,
-    layer k writing the k-th buffer of ``outputs``. The weights are bound as
-    w.T views: a contiguous copy would run another gemv kernel, with other
-    bits. Lazy, so that a generator of buffers allocates each one only when
-    its layer runs; a caller that runs the network often binds a tuple once."""
+def bind_layers(params: MlpParams, outputs: Iterable[np.ndarray]) -> Iterator[tuple]:
+    """The layers of ``params`` as forward_into runs them: (w.T, bias, output
+    buffer, whether ReLU follows) per layer, layer k writing the k-th buffer
+    of ``outputs``. The weights are bound as w.T views: a contiguous copy
+    would run another gemv kernel, with other bits. Lazy, so that a generator
+    of buffers allocates each one only when its layer runs; a caller that runs
+    the network often binds a tuple once."""
     last = len(params.weights) - 1
     for k, (w, b, z) in enumerate(zip(params.weights, params.biases, outputs)):
         yield w.T, b, z, k < last
@@ -184,14 +180,14 @@ def forward_batch(params: MlpParams, xs) -> np.ndarray:
 
 
 def loss_and_grad(
-    params, inputs, targets, work: Optional[Workspace] = None
-) -> tuple[float, FlatLayers]:
+    params: MlpParams, inputs, targets, work: Optional[Workspace] = None
+) -> tuple[float, MlpParams]:
     """Mean absolute error over the batch and its exact subgradients.
 
     Loss is the component sum of |output - target| averaged over samples.
     Subgradients at the ReLU kink and the L1 kink are both taken as 0.
-    ``params`` is an MlpParams or a FlatLayers. The gradient lives in ``work``
-    (fresh when omitted), so the next call with that workspace overwrites it.
+    The gradient lives in ``work`` (fresh when omitted), so the next call
+    with that workspace overwrites it.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
@@ -277,11 +273,11 @@ def _row_scale(w: np.ndarray, clip_bound: float) -> np.ndarray:
 
 
 def save_model(params: MlpParams) -> bytes:
-    """Serialize to bytes: magic, version, widths, then the FlatLayers vector
-    as little-endian float64."""
+    """Serialize to bytes: magic, version, widths, then the flat parameter
+    vector ``params.data`` as little-endian float64."""
     widths = params.layer_widths
     header = struct.pack(f"<4sII{len(widths)}I", _MAGIC, _FORMAT_VERSION, len(widths), *widths)
-    return header + FlatLayers.of(params).data.astype("<f8").tobytes()
+    return header + params.data.astype("<f8").tobytes()
 
 
 def load_model(data: bytes) -> MlpParams:
@@ -298,16 +294,14 @@ def load_model(data: bytes) -> MlpParams:
     if n_widths < 2 or len(data) < offset:
         raise ModelFormatError("width table truncated or too short")
     widths = struct.unpack_from(f"<{n_widths}I", data, header)
-    if any(w <= 0 for w in widths):
-        raise ModelFormatError(f"non-positive width in {widths}")
-    expected = 8 * sum(rows * cols + rows for rows, cols in zip(widths[1:], widths[:-1]))
+    expected = 8 * sum(_chunk_sizes(widths))
     if len(data) - offset != expected:
         raise ModelFormatError(
             f"payload holds {len(data) - offset} bytes, widths {widths} need {expected}"
         )
-    flat = FlatLayers(widths, np.frombuffer(data, dtype="<f8", offset=offset).astype(np.float64))
-    try:
-        return MlpParams(flat.layer_widths, flat.weights, flat.biases)
+    payload = np.frombuffer(data, dtype="<f8", offset=offset).astype(np.float64)
+    try:  # checks the widths and the parameters
+        return MlpParams.flat(widths, payload)
     except InvalidArchitecture as err:
         raise ModelFormatError(str(err)) from None
 
@@ -332,7 +326,7 @@ def train(
         raise EmptyBatch("training set is empty")
     n = x.shape[0]
 
-    theta = FlatLayers.of(init(layer_widths, config.seed))
+    theta = init(layer_widths, config.seed)
     state = AdamState(theta.data.size)
     work = Workspace(theta.layer_widths, min(config.batch_size, n))
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
@@ -350,4 +344,4 @@ def train(
                     w *= _row_scale(w, config.clip_bound)
             total += loss * len(idx)
         epoch_losses.append(total / n)
-    return MlpParams(theta.layer_widths, theta.weights, theta.biases), epoch_losses
+    return MlpParams.flat(theta.layer_widths, theta.data), epoch_losses

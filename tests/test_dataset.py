@@ -220,6 +220,8 @@ class TestBuildPairs:
     def test_min_gap_rejects_a_gap_below_zero_or_nan(self, gap):
         with pytest.raises(ConfigError, match="min_gap"):
             PairPolicy.min_gap(gap)
+        with pytest.raises(ConfigError, match="min_gap"):
+            PairPolicy(gap)
 
     def test_policy_eliminating_everything(self, exp_problem):
         ms = measurements_at([0.0, 1.0], [1.0, 2.0])

@@ -79,10 +79,12 @@ def test_star_import_resolves_all():
 
 PACKAGE = ROOT / "src" / "deep_euler"
 
-# Public names with no caller in the package, each with the reason it stays.
+# Public names, and public methods and properties ("Class.method") of the
+# classes among them, with no caller in the package, each with the reason it stays.
 UNCALLED_PUBLIC = {
     "stack_samples": "tests/test_acceptance.py trains on the build_pairs arrays through it",
     "lipschitz_bound": "tests/test_acceptance.py checks a clipped network's bound with it",
+    "PairPolicy.all_pairs": "tests/test_acceptance.py builds the example1 pairs with it",
 }
 
 
@@ -117,23 +119,33 @@ def _references(tree, name, skip=None) -> bool:
 
 def _uncalled_public_names() -> set:
     """Names in ``__all__`` that no module of the package uses outside their
-    own definition. ``__init__`` re-exports every one of them, so it is not
+    own definition, and ``Class.method`` for each public method or property
+    of a class in ``__all__`` whose name no module loads as an attribute
+    outside the method's own body. Any attribute of that name counts, whatever
+    its object. ``__init__`` re-exports every public name, so it is not
     searched."""
     import deep_euler
 
     trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")
              if path.name != "__init__.py"]
-    return {
+    uncalled = {
         name for name in deep_euler.__all__
         if not any(_references(tree, name, next((n for n in tree.body if _binds(n, name)), None))
                    for tree in trees)
     }
+    methods = [(f"{cls.name}.{node.name}", node) for tree in trees for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and cls.name in deep_euler.__all__
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    uncalled.update(qualified for qualified, node in methods
+                    if not any(_references(tree, node.name, node) for tree in trees))
+    return uncalled
 
 
 def test_every_public_name_has_a_caller():
     import deep_euler
 
-    assert set(UNCALLED_PUBLIC) <= set(deep_euler.__all__)
+    assert {name.split(".")[0] for name in UNCALLED_PUBLIC} <= set(deep_euler.__all__)
     assert _uncalled_public_names() == set(UNCALLED_PUBLIC)
 
 

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from deep_euler import metrics
 from deep_euler.dem import Corrector, make_corrected_stepper
 from deep_euler.errors import NonFiniteState
 from deep_euler.metrics import (
@@ -241,6 +242,41 @@ class TestStabilityScan:
         corr = Corrector.network(MlpParams(params.layer_widths, params.weights, biases), 2)
         got = stability_scan(lam, corr, grid, steps=steps, bound=bound)
         assert got == reference_lockstep_scan(lam, corr, grid, steps, bound)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lam=st.floats(-10.0, -0.5),
+        grid=st.lists(st.floats(1e-3, 1.5), min_size=1, max_size=8),
+        ln=st.floats(0.1, 8.0),
+        steps=st.integers(1, 300),
+        bound=st.floats(1.5, 100.0),
+    )
+    @example(lam=-5.0, grid=[0.4, 0.5, 0.8, 5.0 / 6.0, 0.85, 0.9], ln=6.0, steps=1000,
+             bound=10.0)
+    def test_flags_equal_the_closed_form(self, lam, grid, ln, steps, bound):
+        # N(y) = ln * y, so one step multiplies y by r = 1 + h lam + h^2 ln, and
+        # the flag is max over m <= steps of |r|^m <= bound: |r| <= 1 or
+        # steps * log|r| <= log(bound). Rounding moves the scan's log|y_steps| by
+        # about steps * 1e-14 here; draws within rounding_band of the boundary
+        # may go either way.
+        rounding_band = 1e-9
+        want = []
+        for h in grid:
+            r = abs(1.0 + h * lam + h * h * ln)
+            margin = math.log(bound) - steps * math.log(r) if r > 1.0 else math.inf
+            assume(abs(margin) > rounding_band)
+            want.append((h, margin > 0))
+        assert stability_scan(lam, clipped_linear_corrector(ln), grid, steps, bound) == want
+
+    def test_binds_the_network_once_per_live_count(self, monkeypatch):
+        binds = []
+        real = metrics.bind_layers
+        monkeypatch.setattr(metrics, "bind_layers", lambda *a: binds.append(1) or real(*a))
+        corr = Corrector.network(clip_weights(init([3, 8, 8, 1], 0), 1.0), 2)
+        grid = [0.1, 0.2, 0.3, 0.4, 0.45, 0.5, 0.7, 0.9]
+        results = stability_scan(-5.0, corr, grid)
+        assert results == reference_lockstep_scan(-5.0, corr, grid, 1000, 10.0)
+        assert 1 <= len(binds) <= 1 + len(grid)
 
     def test_infinite_step_is_refused(self):
         for corr in (clipped_linear_corrector(6.0), Corrector.zero(2)):

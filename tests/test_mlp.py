@@ -18,7 +18,6 @@ from deep_euler.errors import (
 )
 from deep_euler.mlp import (
     AdamState,
-    FlatLayers,
     MlpParams,
     TrainConfig,
     adam_step,
@@ -213,6 +212,26 @@ def sample_away_from_kinks(params, batch, rng, margin=1e-3):
     raise AssertionError("could not find a kink-free batch")
 
 
+class TestParams:
+    def test_views_share_one_vector_in_payload_order(self):
+        w, b = np.arange(6.0).reshape(2, 3), np.array([6.0, 7.0])
+        params = MlpParams((3, 2), (w,), (b,))
+        w[0, 0] = 99.0  # the constructor copied
+        assert np.array_equal(params.data, np.arange(8.0))
+        wrapped = MlpParams.flat((3, 2), params.data)
+        wrapped.biases[0][1] = -1.0
+        assert params.data[7] == -1.0 and params.biases[0][1] == -1.0
+
+    def test_flat_refuses_non_finite_or_misfit_data(self):
+        data = np.zeros(9)  # widths (2, 2, 1): 4 + 2 entries, then 2 + 1
+        data[6] = np.nan
+        with pytest.raises(InvalidArchitecture, match="layer 1: non-finite parameters"):
+            MlpParams.flat((2, 2, 1), data)
+        for size in (8, 10):
+            with pytest.raises(ValueError, match="reshape"):
+                MlpParams.flat((2, 2, 1), np.zeros(size))
+
+
 class TestInit:
     def test_shape_contract(self):
         params = init([3, 1], seed=9)
@@ -231,7 +250,7 @@ class TestInit:
     def test_benchmark_architecture_parameter_count(self):
         params = init([3] + [80] * 8 + [1], seed=0)
         expected = 3 * 80 + 80 + 7 * (80 * 80 + 80) + 80 * 1 + 1
-        assert params.parameter_count() == expected
+        assert params.data.size == expected
 
     def test_weight_entries_respect_fan_in_bound(self):
         params = init([5, 11, 2], seed=1)
@@ -359,7 +378,7 @@ def flat(parts):
 
 class TestAdam:
     def test_zero_gradient_keeps_params_and_moments(self):
-        theta = FlatLayers.of(init([2, 3, 1], seed=0)).data
+        theta = init([2, 3, 1], seed=0).data
         before = theta.copy()
         state = AdamState(theta.size)
         adam_step(theta, np.zeros_like(theta), state, 0.01)
@@ -370,15 +389,15 @@ class TestAdam:
 
     def test_first_step_moves_by_learning_rate(self):
         # Bias correction makes the very first update lr * sign(grad).
-        theta = FlatLayers.of(single_layer([[0.0]], [0.0]))
-        grad = FlatLayers(theta.layer_widths)
+        theta = single_layer([[0.0]], [0.0])
+        grad = MlpParams.flat(theta.layer_widths)
         grad.weights[0][0, 0] = 1.0
         adam_step(theta.data, grad.data, AdamState(theta.data.size), 0.1)
         assert theta.weights[0][0, 0] == pytest.approx(-0.1, abs=1e-8)
         assert theta.biases[0][0] == 0.0
 
     def test_deterministic_sequences(self, rng):
-        start = FlatLayers.of(init([3, 4, 2], seed=1)).data
+        start = init([3, 4, 2], seed=1).data
         grad_seq = [rng.normal(size=start.size) for _ in range(5)]
 
         def run():
