@@ -170,7 +170,7 @@ def _train_config(*overrides: dict) -> dict:
 
 def _training_objects(cfg: dict):
     """The noise spec, pair policy and optimizer settings of a config."""
-    policy = dataset.PairPolicy.min_gap(float(cfg["min_gap"]))
+    policy = dataset.PairPolicy(float(cfg["min_gap"]))
     clip = None if cfg["clip_bound"] is None else float(cfg["clip_bound"])
     train_cfg = mlp.TrainConfig(int(cfg["epochs"]), float(cfg["learning_rate"]),
                                 int(cfg["batch_size"]), int(cfg["seed"]), clip)

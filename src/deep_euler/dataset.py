@@ -49,10 +49,6 @@ class PairPolicy:
     def all_pairs(cls) -> "PairPolicy":
         return cls()
 
-    @classmethod
-    def min_gap(cls, gap: float) -> "PairPolicy":
-        return cls(gap=float(gap))
-
 
 def sample_measurements(
     problem: OdeProblem,

@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import CorrectorShapeError, OrderMismatch
 from .mlp import MlpParams, bind_layers, forward_into
-from .ode import EULER, HEUN, BaseMethod, OdeProblem, StepSchedule, Trajectory, flow, solve_fixed
+from .ode import (
+    BASE_METHODS, EULER, HEUN, BaseMethod, OdeProblem, StepSchedule, Trajectory, flow, solve_fixed,
+)
 
 
 @dataclass(frozen=True)
@@ -33,8 +35,8 @@ class Corrector:
     offset: float = 0.0
 
     def __post_init__(self):
-        if self.order_exponent < 2:
-            raise OrderMismatch(f"order exponent must be >= 2, got {self.order_exponent}")
+        if all(m.exponent != self.order_exponent for m in BASE_METHODS.values()):
+            raise OrderMismatch(f"no base method has order exponent {self.order_exponent}")
         if self.kind not in ("network", "oracle", "zero"):
             raise ValueError(f"unknown corrector kind {self.kind!r}")
 
@@ -61,22 +63,34 @@ class Corrector:
         return cls(kind="zero", order_exponent=order_exponent)
 
 
+def checked_network(method: BaseMethod, corrector: Corrector, dim: int) -> Optional[MlpParams]:
+    """The corrector's network, None for an oracle or zero corrector, checked
+    to fit ``method`` and a problem of dimension ``dim``: the corrector's
+    exponent is the method's, and a network maps dim + 2 -> dim."""
+    if corrector.order_exponent != method.exponent:
+        raise OrderMismatch(f"corrector exponent {corrector.order_exponent} does not match "
+                            f"{method.name} order {method.order} + 1")
+    params = corrector.params
+    widths = params.layer_widths if params is not None else (dim + 2, dim)
+    if widths[0] != dim + 2 or widths[-1] != dim:
+        raise CorrectorShapeError(
+            f"network maps {widths[0]} -> {widths[-1]}, problem needs {dim + 2} -> {dim}"
+        )
+    return params
+
+
 def make_corrected_stepper(method: BaseMethod, corrector: Corrector, problem: OdeProblem):
-    """Bind a corrector to a base method and a problem, checking the order and
-    a network's shape once; the stepper returns base + h^q * correction. A
+    """Bind a corrector to a base method and a problem, checked once by
+    checked_network; the stepper returns base + h^q * correction. A
     zero corrector gives the method's public step. The oracle and network
     steppers take the base from the method's advance, which enters no error
     state: they serve inside solve_fixed, which holds one for the whole solve.
     A network stepper binds its layers and buffers once, so it serves one
     solve at a time, and does not check its state: a solve already has."""
-    q = corrector.order_exponent
-    if q != method.exponent:
-        raise OrderMismatch(
-            f"corrector exponent {q} does not match {method.name} order {method.order} + 1"
-        )
+    params = checked_network(method, corrector, problem.dim)
     if corrector.kind == "zero":
         return method.step
-    advance = method.advance
+    q, advance = corrector.order_exponent, method.advance
     if corrector.kind == "oracle":
 
         def oracle_stepper(problem, x, y, h):
@@ -87,13 +101,7 @@ def make_corrected_stepper(method: BaseMethod, corrector: Corrector, problem: Od
 
         return oracle_stepper
 
-    params = corrector.params
     widths = params.layer_widths
-    if widths[0] != problem.dim + 2 or widths[-1] != problem.dim:
-        raise CorrectorShapeError(
-            f"network maps {widths[0]} -> {widths[-1]}, problem needs "
-            f"{problem.dim + 2} -> {problem.dim}"
-        )
     inp = np.empty(widths[0])
     layers = tuple(bind_layers(params, [np.empty(w) for w in widths[1:]]))
 

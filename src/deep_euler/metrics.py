@@ -8,9 +8,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dem import Corrector, make_corrected_stepper
+from .dem import Corrector, checked_network
 from .mlp import bind_layers, forward_batch, forward_into
 from .ode import (
+    _QUIET,
     BASE_METHODS,
     EULER,
     OdeProblem,
@@ -58,18 +59,16 @@ def eps_series(
     Returns (right endpoints x_{m+1}, component-sum gaps). The residual is the
     scaled defect of the base method whose exponent is the corrector's
     (2 -> Euler, 3 -> Heun) between ground-truth states, not the corrected
-    trajectory.
+    trajectory. The network must fit that method and the problem.
     """
     if corrector.kind != "network":
         raise ValueError("eps diagnostics are defined for network correctors")
-    q = corrector.order_exponent
-    method = next((m for m in BASE_METHODS.values() if m.exponent == q), None)
-    if method is None:
-        raise ValueError(f"no base method for exponent {q}")
+    method = next(m for m in BASE_METHODS.values() if m.exponent == corrector.order_exponent)
+    params = checked_network(method, corrector, problem.dim)
     xs = schedule.mesh(*problem.domain)
     truth = evaluate_truth(problem, xs)
     inputs = np.column_stack((xs[:-1], xs[1:], truth[:-1]))
-    n_vals = forward_batch(corrector.params, inputs)
+    n_vals = forward_batch(params, inputs)
     r_vals = scaled_defect(method, problem, xs[:-1], truth[:-1].T, xs[1:], truth[1:].T)
     return xs[1:], np.sum(np.abs(n_vals - r_vals.T), axis=1)
 
@@ -149,9 +148,7 @@ def stability_scan(
         raise ValueError(f"stability scan expects steps >= 1 and bound > 0, got {steps}, {bound}")
     if corrector.kind == "oracle":
         raise ValueError("stability scan expects a network or zero corrector")
-    problem = OdeProblem("linear_test", 1, lambda x, y: lam * y, (0.0, math.inf), np.ones(1))
-    make_corrected_stepper(EULER, corrector, problem)  # checks the order and the network shape
-    params = corrector.params  # None for the zero corrector
+    params = checked_network(EULER, corrector, 1)  # None for the zero corrector
     live, h, y = np.arange(len(hs)), np.array(hs), np.ones(len(hs))
     # Network inputs (x, x + h, y) and layer outputs for the whole grid; the live
     # h use the leading rows, bound once per live count. Finite h keep the
@@ -160,7 +157,7 @@ def stability_scan(
     widths = params.layer_widths[1:] if params is not None else ()
     outputs = [np.empty((len(hs), w)) for w in widths]
     layers, bound_rows = (), 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
         for m in range(steps):
             n = live.size
             if not n:

@@ -8,7 +8,7 @@ import pytest
 
 from deep_euler import cli
 from deep_euler.cli import main
-from deep_euler.errors import DeepEulerError
+from deep_euler.errors import DeepEulerError, NonFiniteGradient
 
 
 def run(*argv):
@@ -94,15 +94,18 @@ class TestTrain:
     @pytest.mark.parametrize(
         "config",
         [{"problem": ["x"]}, {"problem": "example1", "interval": [0, "5"]},
-         {"problem": "example1", "min_gap": float("nan")}],
-        ids=["problem_list", "interval_string", "min_gap_nan"],
+         {"problem": "example1", "min_gap": float("nan")}, None, ["example1"]],
+        ids=["problem_list", "interval_string", "min_gap_nan", "missing_file", "json_array"],
     )
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        if config is not None:  # None: the file does not exist
+            cfg.write_text(json.dumps(config))
         assert run("train", "--config", cfg, "--out-dir", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if not isinstance(config, dict):
+            assert err.startswith(f"error: config file {cfg}: ")
 
     def test_zero_epochs_exits_2(self, tmp_path):
         assert (
@@ -206,6 +209,25 @@ class TestTables:
             f"eps_train={row[3]:.6g} eps_test={row[4]:.6g}"
             for i, row in enumerate(rows)
         ]
+
+    def test_table2_failed_run_warns_and_writes_nan(self, tmp_path, capsys, monkeypatch):
+        real = cli._run_training
+
+        def second_seed_fails(cfg):
+            if cfg["seed"] == 1:
+                raise NonFiniteGradient("gradient contains NaN or infinity")
+            return real(cfg)
+
+        monkeypatch.setattr(cli, "_run_training", second_seed_fails)
+        out = tmp_path / "t2"
+        assert run("table2", "--out-dir", out, "--archs", "2x8", "--points-list", 10,
+                   "--num-seeds", 2, "--epochs", 1) == 0
+        _, rows = read_csv(out / "table2.csv")
+        assert len(rows) == 1 and np.isnan(rows[0, 3]) and np.isnan(rows[0, 4])
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning: ")]
+        assert warnings == ["warning: cell points=10 arch=2x8 run=1 failed: "
+                            "gradient contains NaN or infinity"]
 
     @pytest.mark.parametrize("bad", ["bogus", "2x0"])
     def test_table2_checks_archs_before_training(self, tmp_path, capsys, monkeypatch, bad):

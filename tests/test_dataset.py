@@ -97,6 +97,11 @@ class TestSampling:
         with pytest.raises(TooFewPoints):
             sample_measurements(problems["example1"], (0.0, 5.0), 1, NoiseSpec(0.0), seed=0)
 
+    @pytest.mark.parametrize("interval", [(-1.0, 5.0), (0.0, 11.0), (5.0, 5.0)])
+    def test_interval_outside_the_domain_rejected(self, problems, interval):
+        with pytest.raises(ValueError, match="outside domain"):
+            sample_measurements(problems["example1"], interval, 10, NoiseSpec(0.0), seed=0)
+
     def test_noise_level_matches_monte_carlo_variance(self, exp_problem):
         # z = y(1 + level*g) so the mean of (z/y - 1)^2 estimates level^2.
         ms = sample_measurements(exp_problem, (0.5, 3.0), 10_000, NoiseSpec(0.05), seed=1)
@@ -162,11 +167,11 @@ class TestBuildPairs:
 
     def test_min_gap_filter(self, exp_problem):
         ms = measurements_at([0.0, 1.0, 5.0], [1.0, 2.0, 3.0])
-        inputs, _ = build_pairs(exp_problem, ms, PairPolicy.min_gap(2.0))
+        inputs, _ = build_pairs(exp_problem, ms, PairPolicy(2.0))
         assert sorted(inputs[:, 1] - inputs[:, 0]) == [4.0, 5.0]
 
     def test_all_pairs_is_zero_gap_and_drops_duplicate_abscissae(self, exp_problem):
-        assert PairPolicy.all_pairs() == PairPolicy.min_gap(0.0)
+        assert PairPolicy.all_pairs() == PairPolicy(0.0)
         ms = measurements_at([0.0, 1.0, 1.0], [1.0, 2.0, 2.5])
         inputs, _ = build_pairs(exp_problem, ms, PairPolicy.all_pairs())
         assert sorted(inputs[:, 1] - inputs[:, 0]) == [1.0, 1.0]
@@ -178,6 +183,15 @@ class TestBuildPairs:
         assert len(inputs) == len(targets) == 200 * 199 // 2
         stacked = stack_samples((inputs, targets))
         assert stacked[0] is inputs and stacked[1] is targets
+        with pytest.raises(EmptyDataset, match="no samples"):
+            stack_samples((inputs[:0], targets[:0]))
+
+    def test_unknown_base_or_one_measurement_rejected(self, exp_problem):
+        ms = measurements_at([0.0, 1.0], [1.0, math.e])
+        with pytest.raises(ConfigError, match="target: unknown base method 'rk4'"):
+            build_pairs(exp_problem, ms, PairPolicy.all_pairs(), "rk4")
+        with pytest.raises(TooFewPoints):
+            build_pairs(exp_problem, ms[:1], PairPolicy.all_pairs())
 
     def test_inputs_are_x_i_x_j_z_i(self, exp_problem):
         ms = measurements_at([0.0, 1.0], [1.0, math.e])
@@ -219,14 +233,12 @@ class TestBuildPairs:
     @pytest.mark.parametrize("gap", [-1.0, float("nan")], ids=["negative", "nan"])
     def test_min_gap_rejects_a_gap_below_zero_or_nan(self, gap):
         with pytest.raises(ConfigError, match="min_gap"):
-            PairPolicy.min_gap(gap)
-        with pytest.raises(ConfigError, match="min_gap"):
             PairPolicy(gap)
 
     def test_policy_eliminating_everything(self, exp_problem):
         ms = measurements_at([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(EmptyDataset):
-            build_pairs(exp_problem, ms, PairPolicy.min_gap(10.0))
+            build_pairs(exp_problem, ms, PairPolicy(10.0))
 
 
 @st.composite
@@ -281,9 +293,9 @@ class TestPairProperties:
         wide = everything[:, 1] - everything[:, 0] >= gap
         if not wide.any():
             with pytest.raises(EmptyDataset):
-                build_pairs(problem, ms, PairPolicy.min_gap(gap))
+                build_pairs(problem, ms, PairPolicy(gap))
             return
-        inputs, targets = build_pairs(problem, ms, PairPolicy.min_gap(gap))
+        inputs, targets = build_pairs(problem, ms, PairPolicy(gap))
         assert np.array_equal(inputs, everything[wide])
         assert np.array_equal(targets, all_targets[wide])
 

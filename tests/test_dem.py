@@ -180,7 +180,7 @@ class TestGenericCorrectedStep:
 
     def test_order_mismatch_rejected(self, exp_problem):
         for method in BASE_METHODS.values():
-            for q in {2, 3, 4} - {method.exponent}:
+            for q in {2, 3} - {method.exponent}:
                 for corr in (Corrector.zero(q), Corrector.network(constant_network(1, 0.0), q)):
                     with pytest.raises(OrderMismatch):
                         make_corrected_stepper(method, corr, exp_problem)
@@ -191,6 +191,18 @@ class TestGenericCorrectedStep:
     def test_exponent_below_two_rejected(self):
         with pytest.raises(OrderMismatch):
             Corrector.zero(1)
+
+    def test_exponent_without_a_base_method_rejected_when_built(self, exp_problem):
+        assert {m.exponent for m in BASE_METHODS.values()} == {2, 3}
+        builds = [lambda: Corrector.network(constant_network(1, 0.0), 4),
+                  lambda: Corrector.zero(4), lambda: Corrector.oracle(exp_problem, 4)]
+        for build in builds:
+            with pytest.raises(OrderMismatch, match="no base method has order exponent 4"):
+                build()
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown corrector kind 'table'"):
+            Corrector("table", 2)
 
 
 class TestSolveLoops:

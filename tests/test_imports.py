@@ -157,3 +157,35 @@ def test_only_code_counts_as_a_caller():
         assert _references(ast.parse(code), "stack_samples")
     definition = ast.parse("def stack_samples(p):\n    return stack_samples(p)\n")
     assert not _references(definition, "stack_samples", skip=definition.body[0])
+
+
+def _unused_imports(tree) -> set:
+    """Names that an import binds in ``tree`` and no code in it loads;
+    ``from __future__ import annotations`` binds nothing."""
+    bound = {(alias.asname or alias.name).split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+             for alias in node.names}
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - loaded
+
+
+def test_every_import_is_used():
+    unused = {path.name: _unused_imports(ast.parse(path.read_text()))
+              for path in PACKAGE.glob("*.py") if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_an_unused_import_is_found():
+    code = ("from __future__ import annotations\nimport numpy as np\nimport os.path\n"
+            "from .dem import Corrector, make_corrected_stepper\n"
+            "def f(c: Corrector):\n    return np.ones(1)\n")
+    assert _unused_imports(ast.parse(code)) == {"os", "make_corrected_stepper"}
+
+
+def test_no_source_line_exceeds_100_characters():
+    long_lines = [f"{path.name}:{number}" for path in sorted(PACKAGE.glob("*.py"))
+                  for number, line in enumerate(path.read_text().splitlines(), 1)
+                  if len(line) > 100]
+    assert long_lines == []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from deep_euler import metrics
 from deep_euler.dem import Corrector, make_corrected_stepper
-from deep_euler.errors import NonFiniteState
+from deep_euler.errors import CorrectorShapeError, NonFiniteState, OrderMismatch
 from deep_euler.metrics import (
     convergence_order,
     eps_mean,
@@ -89,6 +89,11 @@ class TestMaxAbsError:
             Trajectory(xs, mild), truth
         )
 
+    def test_truth_of_another_shape_rejected(self):
+        traj = Trajectory(np.linspace(0.0, 1.0, 4), np.zeros((4, 2)))
+        with pytest.raises(ValueError, match=r"truth shape \(4, 1\) does not match"):
+            max_abs_error(traj, np.zeros((4, 1)))
+
 
 class TestEpsMean:
     def test_zero_network_on_zero_residual_problem(self):
@@ -144,6 +149,12 @@ class TestEpsMean:
         with pytest.raises(ValueError):
             eps_mean(Corrector.zero(2), exp_problem, StepSchedule.uniform(0.1))
 
+    @pytest.mark.parametrize("name, widths", [("kepler", [6, 4, 1]), ("example1", [3, 4])])
+    def test_network_that_misfits_the_problem_rejected(self, problems, name, widths):
+        corr = Corrector.network(init(widths, seed=0), 2)
+        with pytest.raises(CorrectorShapeError, match=f"network maps {widths[0]} -> {widths[-1]}"):
+            eps_series(corr, problems[name], StepSchedule.uniform(1.0))
+
 
 class TestConvergenceOrder:
     def test_euler_is_first_order(self, exp_problem):
@@ -190,6 +201,12 @@ class TestStabilityScan:
     def test_positive_lambda_rejected(self):
         with pytest.raises(ValueError):
             stability_scan(1.0, Corrector.zero(2), [0.1])
+
+    def test_corrector_that_misfits_euler_or_dimension_one_rejected(self):
+        with pytest.raises(OrderMismatch):
+            stability_scan(-5.0, Corrector.zero(3), [0.1])
+        with pytest.raises(CorrectorShapeError, match="problem needs 3 -> 1"):
+            stability_scan(-5.0, Corrector.network(init([4, 2], seed=0), 2), [0.1])
 
     @settings(max_examples=60, deadline=None)
     @given(

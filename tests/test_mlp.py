@@ -231,6 +231,13 @@ class TestParams:
             with pytest.raises(ValueError, match="reshape"):
                 MlpParams.flat((2, 2, 1), np.zeros(size))
 
+    def test_constructor_refuses_a_misfit_layer_count_or_shape(self):
+        w, b = np.zeros((1, 2)), np.zeros(1)
+        with pytest.raises(InvalidArchitecture, match="one weight matrix and bias per layer"):
+            MlpParams((2, 1), (w, w), (b,))
+        with pytest.raises(InvalidArchitecture, match=r"layer 0: weight \(2, 1\)"):
+            MlpParams((2, 1), (w.T,), (b,))
+
 
 class TestInit:
     def test_shape_contract(self):
@@ -357,6 +364,11 @@ class TestLossAndGrad:
         with pytest.raises(EmptyBatch):
             loss_and_grad(params, np.empty((0, 2)), np.empty((0, 1)))
 
+    def test_batch_size_mismatch_rejected(self):
+        params = init([2, 1], seed=0)
+        with pytest.raises(ValueError, match="disagree on batch size"):
+            loss_and_grad(params, np.zeros((3, 2)), np.zeros((2, 1)))
+
     @pytest.mark.parametrize("x_width, y_width", [(3, 1), (2, 2)], ids=["targets", "inputs"])
     def test_wrong_data_width_rejected(self, rng, x_width, y_width):
         params = init([3, 8, 2], seed=0)
@@ -476,6 +488,11 @@ class TestClipWeights:
         params = MlpParams((1, 1), (np.array([[5.0]]),), (np.array([2.0]),))
         assert np.array_equal(clip_weights(params, 1.0).biases[0], [2.0])
 
+    @pytest.mark.parametrize("bound", [0.0, -1.0])
+    def test_non_positive_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="clip_bound must be positive"):
+            clip_weights(single_layer([[4.0]], [0.0]), bound)
+
 
 def checkpoints():
     """The bytes of a network of 1-3 layers of widths 1-6, any finite parameters."""
@@ -550,6 +567,12 @@ class TestCheckpointFormat:
         with pytest.raises(ModelFormatError):
             load_model(tampered)
 
+    def test_non_finite_payload(self):
+        blob = save_model(init([2, 1], seed=0))
+        tampered = blob[:-8] + np.array([np.nan], dtype="<f8").tobytes()
+        with pytest.raises(ModelFormatError, match="layer 0: non-finite parameters"):
+            load_model(tampered)
+
 
 class TestTraining:
     @staticmethod
@@ -618,6 +641,13 @@ class TestTraining:
         with pytest.raises(InvalidInput):
             train(x, y, [3, 8, 2], TrainConfig(epochs=1))
 
+    def test_one_dimensional_or_empty_data_rejected(self):
+        x, y = self.linear_dataset(0, n=8)
+        with pytest.raises(ValueError, match="2-d with matching batch length"):
+            train(x[:, 0], y, [3, 8, 2], TrainConfig(epochs=1))
+        with pytest.raises(EmptyBatch, match="training set is empty"):
+            train(x[:0], y[:0], [3, 8, 2], TrainConfig(epochs=1))
+
     def test_config_invariants(self):
         from deep_euler.errors import ConfigError
 
@@ -627,3 +657,5 @@ class TestTraining:
             TrainConfig(epochs=1, learning_rate=1.5)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=1, batch_size=0)
+        with pytest.raises(ConfigError, match="clip_bound"):
+            TrainConfig(epochs=1, clip_bound=0)

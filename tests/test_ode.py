@@ -16,6 +16,7 @@ from deep_euler.ode import (
     builtin_problems,
     euler_step,
     evaluate_truth,
+    flow,
     get_problem,
     heun_step,
     restrict,
@@ -316,11 +317,20 @@ class TestReferenceSolver:
         with pytest.raises(MinStepReached):
             solve_reference(prob, [2.0])
 
+    def test_local_flow_past_a_blowup_fails_without_warning(self):
+        prob = scalar_problem(lambda x, y: y * y, domain=(0.0, 2.0), y0=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MinStepReached, match="local solve failed"):
+                flow(prob, 0.0, prob.initial, 2.0)
+
     def test_query_points_validated(self, problems):
         with pytest.raises(ValueError):
             solve_reference(problems["example1"], [2.0, 1.0])
         with pytest.raises(ValueError):
             solve_reference(problems["example1"], [9.0, 11.0])
+        with pytest.raises(ValueError, match="non-empty"):
+            solve_reference(problems["example1"], [])
 
 
 class TestRegistry:
@@ -381,9 +391,21 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             scalar_problem(lambda x, y: y.copy(), domain=(1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "dim, initial, message",
+        [(0, [], "dim must be a positive integer"), (2, [0.0], r"shape \(1,\), expected \(2,\)"),
+         (1, [math.inf], "initial value must be finite")],
+        ids=["dim_zero", "misshapen_initial", "infinite_initial"],
+    )
+    def test_dimension_and_initial_value_checked(self, dim, initial, message):
+        with pytest.raises(ValueError, match=message):
+            OdeProblem("bad", dim, lambda x, y: y, (0.0, 1.0), np.array(initial))
+
     def test_trajectory_requires_increasing_xs(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.5, 0.5]), np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="matching leading length"):
+            Trajectory(np.array([0.0, 0.5]), np.zeros((3, 1)))
 
     def test_restrict_starts_from_ground_truth(self, problems):
         sub = restrict(problems["kepler"], 15.0, 20.0)
