@@ -39,6 +39,8 @@ class Corrector:
             raise OrderMismatch(f"no base method has order exponent {self.order_exponent}")
         if self.kind not in ("network", "oracle", "zero"):
             raise ValueError(f"unknown corrector kind {self.kind!r}")
+        if (self.params is not None) != (self.kind == "network"):
+            raise ValueError("a corrector has params exactly when its kind is 'network'")
 
     @classmethod
     def network(cls, params: MlpParams, order_exponent: int = 2) -> "Corrector":

@@ -31,7 +31,7 @@ class NonFiniteState(NumericalError):
 
 
 class MinStepReached(NumericalError):
-    """The adaptive reference solver could not shrink its step any further."""
+    """The adaptive solver (a reference solve or a local flow) could not shrink its step."""
 
 
 class UnknownProblem(DeepEulerError):

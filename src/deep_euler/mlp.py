@@ -150,10 +150,11 @@ def forward_into(layers: Iterable[tuple], a: np.ndarray) -> np.ndarray:
     """The network, without checks, on one input vector (p_0,) or a batch
     (B, p_0), over ``layers`` from bind_layers: ReLU between layers, the last
     layer linear. Returns a fresh array; every buffer is overwritten."""
-    dot, add, maximum = np.dot, np.add, np.maximum  # looked up once per call, not per layer
+    add, maximum = np.add, np.maximum  # looked up once per call, not per layer
     for wt, b, z, relu in layers:
-        # np.dot, not np.matmul: on one vector matmul is slower per layer.
-        dot(a, wt, z)
+        # ndarray.dot, not np.matmul, which is slower per layer on one vector, nor
+        # np.dot: the same C function, called without numpy's function dispatch.
+        a.dot(wt, z)
         if relu:
             add(z, b, z)
             maximum(z, _ZERO, out=z)  # numpy deprecates a positional out for maximum

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Callable, Optional
 
 import numpy as np
@@ -228,6 +229,92 @@ def solve_fixed(problem: OdeProblem, schedule: StepSchedule, stepper) -> Traject
     return Trajectory(xs, ys)
 
 
+# The Dormand-Prince 5(4) pair and its quartic dense output, written as the same
+# fraction literals as solve_ivp's RK45, so that every coefficient is the same double.
+_DP_C = (1/5, 3/10, 4/5, 8/9, 1)
+_DP_A = [np.array(row) for row in (
+    [1/5], [3/40, 9/40], [44/45, -56/15, 32/9], [19372/6561, -25360/2187, 64448/6561, -212/729],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656])]
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+
+def _dopri5(rhs: Rhs, t: float, y: np.ndarray, t_bound: float, rtol: float, atol: float,
+            queries: Optional[np.ndarray] = None) -> np.ndarray:
+    """Integrate y' = rhs(t, y) from (t, y) forward to t_bound by Dormand-Prince
+    5(4) with local error control atol + rtol * |y|, step for step as
+    ``solve_ivp(method="RK45")``: the same initial step, RMS norm, controller
+    and order of operations, so the same bits. Returns the state at t_bound or,
+    given increasing ``queries``, the dense output at each, one row per query,
+    taken from the step that OdeSolution takes it from."""
+    if not t < t_bound:  # an empty span gives y, as solve_ivp does; a backward one is refused
+        if t > t_bound:
+            raise ValueError(f"cannot integrate backward from x={t} to x={t_bound}")
+        return y
+    root_n = y.size ** 0.5
+
+    def rms(v):  # np.linalg.norm(v) / sqrt(n), without numpy's dispatch
+        return math.sqrt(v.dot(v)) / root_n
+
+    # The initial step (Hairer, Norsett and Wanner, II.4), as solve_ivp selects it.
+    f, span, scale = np.asarray(rhs(t, y), float), t_bound - t, atol + np.abs(y) * rtol
+    d0, d1 = rms(y / scale), rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    small = d1 <= 1e-15 and d2 <= 1e-15
+    h_abs = min(100 * h0, max(1e-6, h0 * 1e-3) if small else (0.01 / max(d1, d2)) ** 0.2, span)
+    K = np.empty((7, y.size))  # the stages, then f at the new state (FSAL)
+    stages = [(s, K[:s].T, a, c) for s, (a, c) in enumerate(zip(_DP_A, _DP_C), 1)]
+    steps = []
+    while t < t_bound:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if not h_abs >= min_step:  # a NaN step fails too
+                kind = "local" if queries is None else "reference"
+                raise MinStepReached(f"{kind} solve failed near x={t}: step below float spacing")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s, kt, a, c in stages:
+                K[s] = rhs(t + c * h, y + kt.dot(a) * h)
+            y_new = y + h * K[:6].T.dot(_DP_B)
+            K[6] = f_new = rhs(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = rms(K.T.dot(_DP_E) * h / scale)
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        if queries is not None:
+            steps.append((t, h, y, K.T.dot(_DP_P)))
+        t, y, f = t_new, y_new, f_new
+    if queries is None:
+        return y
+    # Each run of queries in one step is evaluated together, as OdeSolution does.
+    ends = [step[0] for step in steps] + [t]
+    segments = np.clip(np.searchsorted(ends, queries, side="left") - 1, 0, len(steps) - 1)
+    values, start = [], 0
+    for s, run in groupby(segments.tolist()):
+        stop = start + len(list(run))
+        t0, h, y0, dense = steps[s]
+        x = (queries[start:stop] - t0) / h
+        values.append(h * dense.dot(np.cumprod(np.tile(x, (4, 1)), axis=0)) + y0[:, None])
+        start = stop
+    return np.hstack(values).T
+
+
 def solve_reference(problem: OdeProblem, query_points) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) solution evaluated at the query points.
 
@@ -244,36 +331,17 @@ def solve_reference(problem: OdeProblem, query_points) -> Trajectory:
         raise ValueError("query_points must lie within the problem domain")
     if q[-1] <= a:
         return Trajectory(q, np.tile(problem.initial, (len(q), 1)))
-    from scipy.integrate import solve_ivp  # imported here so only reference solves load scipy
-
-    sol = solve_ivp(
-        problem.rhs,
-        (a, q[-1]),
-        problem.initial,
-        method="RK45",
-        rtol=REFERENCE_TOL,
-        atol=REFERENCE_TOL,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise MinStepReached(sol.message)
-    return Trajectory(q, sol.sol(q).T)
+    tol = REFERENCE_TOL
+    return Trajectory(q, _dopri5(problem.rhs, float(a), problem.initial, float(q[-1]), tol, tol, q))
 
 
 def flow(problem: OdeProblem, x0: float, y0: np.ndarray, x1: float) -> np.ndarray:
-    """Tightly integrated solution through (x0, y0), evaluated at x1.
+    """Tightly integrated solution through (x0, y0), evaluated at x1 >= x0.
 
     Used where the exact local flow is needed, e.g. true truncation-error
     correctors; error is near rounding level.
     """
-    from scipy.integrate import DOP853  # imported here so only oracle solves load scipy
-
-    solver = DOP853(problem.rhs, x0, np.asarray(y0, float), x1, rtol=2.5e-14, atol=1e-14)
-    while solver.status == "running":
-        solver.step()
-    if solver.status != "finished":
-        raise MinStepReached(f"local solve failed near x={solver.t}")
-    return solver.y
+    return _dopri5(problem.rhs, x0, np.asarray(y0, float), x1, 2.5e-14, 1e-14)
 
 
 def evaluate_truth(problem: OdeProblem, xs) -> np.ndarray:

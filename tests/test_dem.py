@@ -204,6 +204,15 @@ class TestGenericCorrectedStep:
         with pytest.raises(ValueError, match="unknown corrector kind 'table'"):
             Corrector("table", 2)
 
+    @pytest.mark.parametrize("kind, with_params", [("network", False), ("oracle", True),
+                                                   ("zero", True)])
+    def test_params_given_exactly_for_a_network(self, kind, with_params):
+        # Unchecked, a network without params passes here and ends in an
+        # AttributeError once solve_dem binds it.
+        params = constant_network(1, 0.4) if with_params else None
+        with pytest.raises(ValueError, match="params exactly when its kind is 'network'"):
+            Corrector(kind, 2, params=params)
+
 
 class TestSolveLoops:
     def test_solve_dem_equals_manual_iteration(self, exp_problem):

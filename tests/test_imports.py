@@ -1,5 +1,5 @@
-"""The package's public names resolve and have callers, and scipy is loaded
-only by the runs that integrate adaptively."""
+"""The package's public names resolve and have callers, and no run of it,
+reference and oracle solves included, imports scipy."""
 
 import ast
 import json
@@ -10,14 +10,16 @@ from pathlib import Path
 
 import numpy as np
 
-from deep_euler.ode import evaluate_truth, get_problem
+from deep_euler.dem import Corrector, solve_dem
+from deep_euler.ode import StepSchedule, evaluate_truth, get_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 TRUTH_XS = [0.0, 0.7, 3.25, 12.5]
 
 # Runs in a fresh interpreter, so that nothing imported by pytest or by other
 # tests is in sys.modules. Prints one JSON object: for each stage, whether
-# any scipy module was loaded by then, and the lotka_volterra truth values.
+# any scipy module was loaded by then, the lotka_volterra truth values and the
+# states of an oracle DEM solve.
 SCRIPT = """
 import contextlib, io, json, sys
 
@@ -26,7 +28,7 @@ def scipy_loaded():
 
 loaded = {}
 import deep_euler
-from deep_euler import cli, ode
+from deep_euler import cli, dem, ode
 loaded["import"] = scipy_loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     try:
@@ -42,13 +44,16 @@ with contextlib.redirect_stdout(io.StringIO()):
                          "--checkpoint", sys.argv[2], "--out-dir", sys.argv[1] + "/solve"])
     loaded["solve"] = scipy_loaded()
 truth = ode.evaluate_truth(ode.get_problem("lotka_volterra"), json.loads(sys.argv[3]))
-loaded["evaluate_truth"] = "scipy.integrate" in sys.modules
+loaded["evaluate_truth"] = scipy_loaded()
+ex1 = ode.get_problem("example1")
+oracle = dem.solve_dem(ex1, dem.Corrector.oracle(ex1, 2), ode.StepSchedule.uniform(0.5))
+loaded["oracle_solve"] = scipy_loaded()
 print(json.dumps({"loaded": loaded, "exit_codes": [rc_train, rc_solve],
-                  "truth": truth.tolist()}))
+                  "truth": truth.tolist(), "oracle": oracle.ys.tolist()}))
 """
 
 
-def test_scipy_loads_only_for_reference_solves(tmp_path):
+def test_no_run_loads_scipy(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -63,10 +68,13 @@ def test_scipy_loads_only_for_reference_solves(tmp_path):
     assert result["exit_codes"] == [0, 0]
     assert result["loaded"] == {
         "import": False, "help": False, "train": False, "solve": False,
-        "evaluate_truth": True,
+        "evaluate_truth": False, "oracle_solve": False,
     }
     in_process = evaluate_truth(get_problem("lotka_volterra"), TRUTH_XS)
     assert np.array_equal(np.array(result["truth"]), in_process)
+    ex1 = get_problem("example1")
+    oracle = solve_dem(ex1, Corrector.oracle(ex1, 2), StepSchedule.uniform(0.5))
+    assert np.array_equal(np.array(result["oracle"]), oracle.ys)
 
 
 def test_star_import_resolves_all():
@@ -182,6 +190,27 @@ def test_an_unused_import_is_found():
             "from .dem import Corrector, make_corrected_stepper\n"
             "def f(c: Corrector):\n    return np.ones(1)\n")
     assert _unused_imports(ast.parse(code)) == {"os", "make_corrected_stepper"}
+
+
+def _scipy_imports(tree) -> set:
+    """The scipy modules that ``tree`` imports, at any depth."""
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules.update(node.module for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 0)
+    return {module for module in modules if module.split(".")[0] == "scipy"}
+
+
+def test_no_module_imports_scipy():
+    imports = {path.name: _scipy_imports(ast.parse(path.read_text()))
+               for path in PACKAGE.glob("*.py")}
+    assert {name: modules for name, modules in imports.items() if modules} == {}
+
+
+def test_a_scipy_import_is_found():
+    code = ("import numpy as np, scipy.linalg\nfrom .scipy_like import x\n"
+            "def f():\n    from scipy.integrate import solve_ivp\n    return solve_ivp\n")
+    assert _scipy_imports(ast.parse(code)) == {"scipy.linalg", "scipy.integrate"}
 
 
 def test_no_source_line_exceeds_100_characters():

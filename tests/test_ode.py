@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import DOP853, RK45, solve_ivp  # test-only: what ode's solver reproduces
 
 from deep_euler.errors import MinStepReached, NonFiniteState, UnknownProblem
 from deep_euler.ode import (
+    REFERENCE_TOL,
     OdeProblem,
     StepSchedule,
     Trajectory,
@@ -324,6 +326,13 @@ class TestReferenceSolver:
             with pytest.raises(MinStepReached, match="local solve failed"):
                 flow(prob, 0.0, prob.initial, 2.0)
 
+    def test_local_flow_over_an_empty_span_is_the_start_and_backward_refused(self, problems):
+        prob = problems["kepler"]
+        y0 = prob.exact(1.5)
+        assert np.array_equal(flow(prob, 1.5, y0, 1.5), y0)
+        with pytest.raises(ValueError, match="cannot integrate backward"):
+            flow(prob, 1.5, y0, 1.0)
+
     def test_query_points_validated(self, problems):
         with pytest.raises(ValueError):
             solve_reference(problems["example1"], [2.0, 1.0])
@@ -331,6 +340,72 @@ class TestReferenceSolver:
             solve_reference(problems["example1"], [9.0, 11.0])
         with pytest.raises(ValueError, match="non-empty"):
             solve_reference(problems["example1"], [])
+
+
+def scipy_reference(problem, q):
+    """The reference solve by scipy's solve_ivp at the settings of solve_reference."""
+    sol = solve_ivp(problem.rhs, (problem.domain[0], q[-1]), problem.initial, method="RK45",
+                    rtol=REFERENCE_TOL, atol=REFERENCE_TOL, dense_output=True)
+    assert sol.success
+    return sol.sol(q).T
+
+
+def scipy_flow(method, problem, x0, y0, x1):
+    """A local flow by scipy's ``method`` at the tolerances of ``flow``."""
+    solver = method(problem.rhs, x0, y0, x1, rtol=2.5e-14, atol=1e-14)
+    while solver.status == "running":
+        solver.step()
+    assert solver.status == "finished"
+    return solver.y
+
+
+def linear_problem(seed, dim):
+    """y' = M y + c x on [0, 3], with M, c and y(0) drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    m, c = rng.uniform(-2.0, 2.0, size=(dim, dim)), rng.uniform(-1.0, 1.0, size=dim)
+    return OdeProblem("linear", dim, lambda x, y: m @ y + c * x, (0.0, 3.0),
+                      rng.uniform(-1.0, 1.0, size=dim)), rng
+
+
+class TestSameAsScipy:
+    """The Dormand-Prince 5(4) solver of ``ode`` reproduces solve_ivp's RK45 bit
+    for bit, and its local flow agrees with DOP853, the flow it replaced."""
+
+    @pytest.mark.parametrize("spacing", [0.002, 0.01, 0.1, 0.37])
+    @pytest.mark.parametrize("name", ["example1", "lotka_volterra", "kepler"])
+    def test_reference_solve_bit_for_bit(self, problems, name, spacing):
+        problem = problems[name]
+        a, b = problem.domain
+        for q in (np.arange(a, b, spacing), StepSchedule.uniform(spacing).mesh(a, b),
+                  np.arange(a + spacing / 3, b / 2, spacing)):
+            assert solve_reference(problem, q).ys.tobytes() == scipy_reference(problem, q).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), size=st.integers(1, 30))
+    def test_reference_solve_bit_for_bit_on_linear_systems(self, dim, seed, size):
+        problem, rng = linear_problem(seed, dim)
+        q = np.unique(rng.uniform(0.0, 3.0, size=size))
+        assert solve_reference(problem, q).ys.tobytes() == scipy_reference(problem, q).tobytes()
+
+    @pytest.mark.parametrize("name, x0, h", [("example1", 1.0, 0.1), ("example1", 0.0, 2.0),
+                                             ("example1", 7.5, 1e-3), ("kepler", 3.0, 0.5),
+                                             ("kepler", 0.0, 0.01), ("kepler", 12.0, 2.0)])
+    def test_local_flow_agrees_with_dop853(self, problems, name, x0, h):
+        problem = problems[name]
+        y0 = problem.exact(x0)
+        got, want = flow(problem, x0, y0, x0 + h), scipy_flow(DOP853, problem, x0, y0, x0 + h)
+        assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+        assert got.tobytes() == scipy_flow(RK45, problem, x0, y0, x0 + h).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           x0=st.floats(0.0, 2.5), h=st.floats(1e-3, 0.5))
+    def test_local_flow_agrees_with_dop853_on_linear_systems(self, dim, seed, x0, h):
+        problem, rng = linear_problem(seed, dim)
+        y0 = rng.uniform(-1.0, 1.0, size=dim)
+        got, want = flow(problem, x0, y0, x0 + h), scipy_flow(DOP853, problem, x0, y0, x0 + h)
+        assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+        assert got.tobytes() == scipy_flow(RK45, problem, x0, y0, x0 + h).tobytes()
 
 
 class TestRegistry:
