@@ -5,9 +5,10 @@ that records the run's configuration, so repeating a command with the same
 manifest, numpy/BLAS build and BLAS thread count reproduces its outputs byte
 for byte.
 
-Exit codes: 0 success, 2 configuration error (a size too large to allocate
-among them), 3 dimension/shape error, 4 numerical failure; each error class
-carries its own code.
+Exit codes: 0 success, 2 configuration error (ConfigError; a size too large
+to allocate among them), 3 dimension/shape error (ShapeError), 4 numerical
+failure (NumericalError); each error class carries its own code, and the
+error line is its message.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import dataset, dem, metrics, mlp
-from .errors import ConfigError, DeepEulerError, NonFiniteGradient, NonFiniteState
+from .errors import ConfigError, DeepEulerError, NumericalError
 from .ode import (
     BASE_METHODS, EULER, HEUN, StepSchedule, evaluate_truth, get_problem, restrict, solve_fixed,
 )
@@ -192,10 +193,10 @@ def _network_corrector(method, checkpoint) -> dem.Corrector:
     if checkpoint is None:
         raise ConfigError(f"checkpoint: required for method {method.corrected}")
     try:
-        data = Path(checkpoint).read_bytes()
-    except OSError as err:
+        params = mlp.load_model(Path(checkpoint).read_bytes())
+    except (OSError, ConfigError) as err:
         raise ConfigError(f"checkpoint: {err}") from None
-    return dem.Corrector.network(mlp.load_model(data), method.exponent)
+    return dem.Corrector.network(params, method.exponent)
 
 
 def _unread_checkpoint(checkpoint, reason: str) -> None:
@@ -343,7 +344,7 @@ def cmd_table2(args) -> int:
                     corrector = dem.Corrector.network(params, EULER.exponent)
                     ends, gaps = metrics.eps_series(corrector, problem, schedule)
                     eps.append([np.mean(gaps[metrics.region_mask(ends, r)]) for r in regions])
-                except (NonFiniteGradient, NonFiniteState) as err:
+                except NumericalError as err:
                     print(f"warning: cell points={points} arch={arch} run={run} failed: {err}",
                           file=sys.stderr)
                     eps.append([np.nan, np.nan])

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDataset, TooFewPoints
+from .errors import ConfigError
 from .ode import BASE_METHODS, OdeProblem, evaluate_truth, scaled_defect
 
 
@@ -67,7 +67,7 @@ def sample_measurements(
     if not (a - 1e-12 <= lo < hi <= b + 1e-12):
         raise ValueError(f"sampling interval [{lo}, {hi}] outside domain [{a}, {b}]")
     if count < 2:
-        raise TooFewPoints(f"need at least 2 measurements, got {count}")
+        raise ConfigError(f"need at least 2 measurements, got {count}")
     rng = np.random.default_rng(seed)
     xs = np.sort(rng.uniform(lo, hi, size=count))
     zs = evaluate_truth(problem, xs)
@@ -90,7 +90,7 @@ def build_pairs(
     if method is None:
         raise ConfigError(f"target: unknown base method {base!r}")
     if len(measurements) < 2:
-        raise TooFewPoints("need at least 2 measurements to form pairs")
+        raise ConfigError("need at least 2 measurements to form pairs")
     ms = sorted(measurements, key=lambda m: m.x)
     xs = np.array([m.x for m in ms])
     zs = np.stack([m.z for m in ms])
@@ -99,7 +99,7 @@ def build_pairs(
     keep = (gaps > 0.0) & (gaps >= policy.gap)  # > 0 drops duplicate abscissae
     idx_i, idx_j = idx_i[keep], idx_j[keep]
     if len(idx_i) == 0:
-        raise EmptyDataset("pair policy eliminated every pair")
+        raise ConfigError("pair policy eliminated every pair")
     x_i, z_i, x_j = xs[idx_i], zs[idx_i], xs[idx_j]
     targets = scaled_defect(method, problem, x_i, z_i.T, x_j, zs[idx_j].T)
     return np.column_stack((x_i, x_j, z_i)), np.ascontiguousarray(targets.T)
@@ -109,5 +109,5 @@ def stack_samples(pairs: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.
     """The (inputs, targets) arrays of ``build_pairs``, ready for training."""
     inputs, targets = pairs
     if len(inputs) == 0:
-        raise EmptyDataset("no samples to stack")
+        raise ConfigError("no samples to stack")
     return inputs, targets

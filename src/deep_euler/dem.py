@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CorrectorShapeError, OrderMismatch
+from .errors import ShapeError
 from .mlp import MlpParams, bind_layers, forward_into
 from .ode import (
     BASE_METHODS, EULER, HEUN, BaseMethod, OdeProblem, StepSchedule, Trajectory, flow, solve_fixed,
@@ -36,7 +36,7 @@ class Corrector:
 
     def __post_init__(self):
         if all(m.exponent != self.order_exponent for m in BASE_METHODS.values()):
-            raise OrderMismatch(f"no base method has order exponent {self.order_exponent}")
+            raise ShapeError(f"no base method has order exponent {self.order_exponent}")
         if self.kind not in ("network", "oracle", "zero"):
             raise ValueError(f"unknown corrector kind {self.kind!r}")
         if (self.params is not None) != (self.kind == "network"):
@@ -70,14 +70,13 @@ def checked_network(method: BaseMethod, corrector: Corrector, dim: int) -> Optio
     to fit ``method`` and a problem of dimension ``dim``: the corrector's
     exponent is the method's, and a network maps dim + 2 -> dim."""
     if corrector.order_exponent != method.exponent:
-        raise OrderMismatch(f"corrector exponent {corrector.order_exponent} does not match "
-                            f"{method.name} order {method.order} + 1")
+        raise ShapeError(f"corrector exponent {corrector.order_exponent} does not match "
+                         f"{method.name} order {method.order} + 1")
     params = corrector.params
     widths = params.layer_widths if params is not None else (dim + 2, dim)
     if widths[0] != dim + 2 or widths[-1] != dim:
-        raise CorrectorShapeError(
-            f"network maps {widths[0]} -> {widths[-1]}, problem needs {dim + 2} -> {dim}"
-        )
+        raise ShapeError(f"network maps {widths[0]} -> {widths[-1]}, "
+                         f"problem needs {dim + 2} -> {dim}")
     return params
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit: one class per exit code, whose
+message says what went wrong, and NonFiniteState, which carries where."""
 
 
 class DeepEulerError(Exception):
@@ -8,8 +9,12 @@ class DeepEulerError(Exception):
     exit_code = 2
 
 
+class ConfigError(DeepEulerError):
+    """Invalid configuration, input data or checkpoint; the message names its key, if any."""
+
+
 class ShapeError(DeepEulerError):
-    """A dimension or shape that does not fit."""
+    """A dimension, shape, architecture or order that does not fit."""
 
     exit_code = 3
 
@@ -28,51 +33,3 @@ class NonFiniteState(NumericalError):
         self.step = step
         where = f"x={x}" if step is None else f"x={x} (step {step})"
         super().__init__(f"non-finite state at {where}")
-
-
-class MinStepReached(NumericalError):
-    """The adaptive solver (a reference solve or a local flow) could not shrink its step."""
-
-
-class UnknownProblem(DeepEulerError):
-    """Lookup of a problem name that is not in the registry."""
-
-
-class InvalidArchitecture(ShapeError):
-    """Layer widths that cannot form a valid network."""
-
-
-class InvalidInput(ShapeError):
-    """Non-finite or wrongly shaped network input."""
-
-
-class EmptyBatch(ShapeError):
-    """loss_and_grad called with no samples."""
-
-
-class NonFiniteGradient(NumericalError):
-    """Optimizer update received NaN or infinite gradients."""
-
-
-class ModelFormatError(DeepEulerError):
-    """Corrupt, truncated, or incompatible model checkpoint."""
-
-
-class TooFewPoints(DeepEulerError):
-    """Measurement sampling needs at least two points."""
-
-
-class EmptyDataset(DeepEulerError):
-    """Pair selection policy eliminated every candidate pair."""
-
-
-class CorrectorShapeError(ShapeError):
-    """Corrector network dimensions do not match the problem."""
-
-
-class OrderMismatch(ShapeError):
-    """Corrector exponent does not equal base method order + 1."""
-
-
-class ConfigError(DeepEulerError):
-    """Invalid or unknown configuration entry; message carries the key path."""

@@ -15,14 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptyBatch,
-    InvalidArchitecture,
-    InvalidInput,
-    ModelFormatError,
-    NonFiniteGradient,
-)
+from .errors import ConfigError, NumericalError, ShapeError
 
 _MAGIC = b"FCN1"
 _FORMAT_VERSION = 1
@@ -49,11 +42,11 @@ class MlpParams:
     def __init__(self, layer_widths: Sequence[int], weights: Sequence, biases: Sequence):
         self._wrap(layer_widths)
         if len(weights) != self.num_layers or len(biases) != self.num_layers:
-            raise InvalidArchitecture("one weight matrix and bias per layer required")
+            raise ShapeError("one weight matrix and bias per layer required")
         for k, (w, b, w_to, b_to) in enumerate(zip(weights, biases, self.weights, self.biases)):
             if w.shape != w_to.shape or b.shape != b_to.shape:
-                raise InvalidArchitecture(f"layer {k}: weight {w.shape} / bias {b.shape} do not "
-                                          f"match widths {w_to.shape[0]}x{w_to.shape[1]}")
+                raise ShapeError(f"layer {k}: weight {w.shape} / bias {b.shape} do not "
+                                 f"match widths {w_to.shape[0]}x{w_to.shape[1]}")
             w_to[...], b_to[...] = w, b
         self._check_finite()
 
@@ -69,7 +62,7 @@ class MlpParams:
     def _wrap(self, layer_widths: Sequence[int], data: Optional[np.ndarray] = None) -> None:
         self.layer_widths = widths = tuple(int(w) for w in layer_widths)
         if len(widths) < 2 or any(w <= 0 for w in widths):
-            raise InvalidArchitecture(f"invalid layer widths {widths}")
+            raise ShapeError(f"invalid layer widths {widths}")
         sizes = _chunk_sizes(widths)
         self.data = np.zeros(sum(sizes)) if data is None else data
         chunks = np.split(self.data, np.cumsum(sizes[:-1]))
@@ -80,7 +73,7 @@ class MlpParams:
     def _check_finite(self) -> None:
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise InvalidArchitecture(f"layer {k}: non-finite parameters")
+                raise ShapeError(f"layer {k}: non-finite parameters")
 
     @property
     def num_layers(self) -> int:
@@ -170,11 +163,9 @@ def forward_batch(params: MlpParams, xs) -> np.ndarray:
     """Evaluate the network on a (batch, p_0) array of inputs."""
     a = np.asarray(xs, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != params.layer_widths[0]:
-        raise InvalidInput(
-            f"batch has shape {a.shape}, expected (*, {params.layer_widths[0]})"
-        )
+        raise ShapeError(f"batch has shape {a.shape}, expected (*, {params.layer_widths[0]})")
     if not np.all(np.isfinite(a)):
-        raise InvalidInput("non-finite network input")
+        raise ShapeError("non-finite network input")
     # A generator, so that only two layers' outputs are alive at a time.
     buffers = (np.empty((len(a), w)) for w in params.layer_widths[1:])
     return forward_into(bind_layers(params, buffers), a)
@@ -193,11 +184,11 @@ def loss_and_grad(
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if x.shape[0] == 0:
-        raise EmptyBatch("loss_and_grad needs at least one sample")
+        raise ShapeError("loss_and_grad needs at least one sample")
     if x.shape[0] != y.shape[0]:
         raise ValueError("inputs and targets disagree on batch size")
     if x.shape[1] != params.layer_widths[0] or y.shape[1] != params.layer_widths[-1]:
-        raise InvalidInput(f"data {x.shape} -> {y.shape} does not fit widths {params.layer_widths}")
+        raise ShapeError(f"data {x.shape} -> {y.shape} does not fit widths {params.layer_widths}")
     batch = x.shape[0]
     if work is None:
         work = Workspace(params.layer_widths, batch)
@@ -229,7 +220,7 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, learning_ra
     theta = theta - (lr (m/c1)) / (sqrt(v/c2) + eps), so the bits are too.
     """
     if not np.isfinite(grad).all():
-        raise NonFiniteGradient("gradient contains NaN or infinity")
+        raise NumericalError("gradient contains NaN or infinity")
     state.step_count += 1
     c1, c2 = 1.0 - _BETA1**state.step_count, 1.0 - _BETA2**state.step_count
     m, v = state.first, state.second
@@ -282,29 +273,29 @@ def save_model(params: MlpParams) -> bytes:
 
 
 def load_model(data: bytes) -> MlpParams:
-    """Inverse of save_model; raises ModelFormatError on any inconsistency."""
+    """Inverse of save_model; raises ConfigError on any inconsistency."""
     header = struct.calcsize("<4sII")
     if len(data) < header:
-        raise ModelFormatError("checkpoint shorter than its header")
+        raise ConfigError("checkpoint shorter than its header")
     magic, version, n_widths = struct.unpack_from("<4sII", data, 0)
     if magic != _MAGIC:
-        raise ModelFormatError(f"bad magic {magic!r}")
+        raise ConfigError(f"bad magic {magic!r}")
     if version != _FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported format version {version}")
+        raise ConfigError(f"unsupported format version {version}")
     offset = header + 4 * n_widths
     if n_widths < 2 or len(data) < offset:
-        raise ModelFormatError("width table truncated or too short")
+        raise ConfigError("width table truncated or too short")
     widths = struct.unpack_from(f"<{n_widths}I", data, header)
     expected = 8 * sum(_chunk_sizes(widths))
     if len(data) - offset != expected:
-        raise ModelFormatError(
+        raise ConfigError(
             f"payload holds {len(data) - offset} bytes, widths {widths} need {expected}"
         )
     payload = np.frombuffer(data, dtype="<f8", offset=offset).astype(np.float64)
     try:  # checks the widths and the parameters
         return MlpParams.flat(widths, payload)
-    except InvalidArchitecture as err:
-        raise ModelFormatError(str(err)) from None
+    except ShapeError as err:
+        raise ConfigError(str(err)) from None
 
 
 def train(
@@ -317,14 +308,14 @@ def train(
 
     Data order is reshuffled every epoch from the run seed, so a fixed
     (seed, config, dataset) triple reproduces the parameters bitwise. Data
-    whose widths do not fit layer_widths raises InvalidInput on the first batch.
+    whose widths do not fit layer_widths raises ShapeError on the first batch.
     """
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("inputs/targets must be 2-d with matching batch length")
     if x.shape[0] == 0:
-        raise EmptyBatch("training set is empty")
+        raise ShapeError("training set is empty")
     n = x.shape[0]
 
     theta = init(layer_widths, config.seed)

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import MinStepReached, NonFiniteState, UnknownProblem
+from .errors import ConfigError, NonFiniteState, NumericalError
 
 Rhs = Callable[[float, np.ndarray], np.ndarray]
 
@@ -280,7 +280,7 @@ def _dopri5(rhs: Rhs, t: float, y: np.ndarray, t_bound: float, rtol: float, atol
         while True:
             if not h_abs >= min_step:  # a NaN step fails too
                 kind = "local" if queries is None else "reference"
-                raise MinStepReached(f"{kind} solve failed near x={t}: step below float spacing")
+                raise NumericalError(f"{kind} solve failed near x={t}: step below float spacing")
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
@@ -423,6 +423,5 @@ def get_problem(name: str) -> OdeProblem:
     try:
         return registry[name]
     except KeyError:
-        raise UnknownProblem(
-            f"unknown problem {name!r}; available: {', '.join(sorted(registry))}"
-        ) from None
+        raise ConfigError(f"unknown problem {name!r}; "
+                          f"available: {', '.join(sorted(registry))}") from None

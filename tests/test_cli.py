@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from deep_euler import cli
 from deep_euler.cli import main
-from deep_euler.errors import DeepEulerError, NonFiniteGradient
+from deep_euler.errors import DeepEulerError, NumericalError
 
 
 def run(*argv):
@@ -175,6 +176,23 @@ class TestSolve:
         assert run("solve", "--problem", "example1", "--method", "dem",
                    "--h", 1.0, "--out-dir", tmp_path) == 2
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda blob: b"XXXX" + blob[4:], "bad magic b'XXXX'"),
+        (lambda blob: blob[:-8], "payload holds"),
+        (lambda blob: struct.pack("<4sII3I", b"FCN1", 1, 3, 3, 0, 1) + bytes(8),
+         "invalid layer widths (3, 0, 1)"),
+        (lambda blob: blob[:-8] + np.array([np.nan], dtype="<f8").tobytes(),
+         "layer 8: non-finite parameters"),
+    ], ids=["bad_magic", "truncated", "zero_width", "non_finite_payload"])
+    def test_corrupt_checkpoint_exits_2_naming_the_key(self, tmp_path, capsys, corrupt, message):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(corrupt(CHECKPOINT.read_bytes()))
+        assert run("solve", "--problem", "example1", "--method", "dem", "--h", 1.0,
+                   "--checkpoint", bad, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_blowup_exits_4(self, tmp_path):
         # Euler at this step diverges to overflow on the predator-prey system.
         assert run("solve", "--problem", "lotka_volterra", "--method", "euler",
@@ -215,7 +233,7 @@ class TestTables:
 
         def second_seed_fails(cfg):
             if cfg["seed"] == 1:
-                raise NonFiniteGradient("gradient contains NaN or infinity")
+                raise NumericalError("gradient contains NaN or infinity")
             return real(cfg)
 
         monkeypatch.setattr(cli, "_run_training", second_seed_fails)

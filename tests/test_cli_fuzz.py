@@ -57,8 +57,9 @@ FLAG_VALUES = {
 }
 # Bad values that a run may accept: a step longer than example1's domain or a
 # table's region (0, 5], but not longer than kepler's or lotka_volterra's. As
-# the one bad value, they may exit 0. A checkpoint is never among them: a run
-# that would not read it refuses it.
+# the one bad value, they may exit 0, or 4 where a solve at so long a step
+# diverges. A checkpoint is never among them: a run that would not read it
+# refuses it.
 MAYBE_UNREAD = {"--h": {"6", "20"}, "--h-list": {"6", "20"}}
 # Good value lists for the flags whose values depend on each other.
 FLAG_LISTS = {
@@ -144,7 +145,7 @@ def value(flag, spec, bad, workdir, good=None, problem=None):
 def argvs(draw, command, workdir):
     """(argv, the exit codes it may end with) for ``command``: argv holds only
     good values, exactly one bad value, or bad values scattered at random. One
-    bad value exits 2, or 0 where it may go unread (MAYBE_UNREAD)."""
+    bad value exits 2, or 0 or 4 where it may be accepted (MAYBE_UNREAD)."""
     mode = draw(st.sampled_from(["good", "one bad", "scattered"]))
     chosen = []  # (flag, spec, the good values of a dependent list or None per value)
     for flag, spec in options(command):
@@ -171,7 +172,7 @@ def argvs(draw, command, workdir):
             bad = slot == bad_slot or (mode == "scattered" and draw(st.integers(0, 3)) == 0)
             argv.append(draw(value(flag, spec, bad, workdir, good, problem)))
             if slot == bad_slot and argv[-1] in MAYBE_UNREAD.get(flag, ()):
-                codes = (0, 2)
+                codes = (0, 2, 4)
             slot += 1
         if flag == "--problem":
             problem = argv[-1]

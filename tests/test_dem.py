@@ -13,9 +13,9 @@ from scipy.linalg import expm
 from test_mlp import MODERATE, networks, reference_forward_one
 
 from deep_euler.dem import Corrector, make_corrected_stepper, solve_dem, solve_dhm
-from deep_euler.errors import CorrectorShapeError, NonFiniteState, OrderMismatch
-from deep_euler.metrics import max_abs_error
-from deep_euler.mlp import MlpParams, clip_weights, init
+from deep_euler.errors import NonFiniteState, ShapeError
+from deep_euler.metrics import eps_series, max_abs_error
+from deep_euler.mlp import MlpParams, clip_weights, init, lipschitz_bound
 from deep_euler.ode import (
     BASE_METHODS,
     EULER,
@@ -136,7 +136,7 @@ class TestNetworkCorrector:
 
     def test_shape_mismatch_rejected(self, problems):
         corr = Corrector.network(init([3, 8, 1], seed=0), 2)  # fits dim 1, not 4
-        with pytest.raises(CorrectorShapeError):
+        with pytest.raises(ShapeError, match=r"network maps 3 -> 1, problem needs 6 -> 4"):
             step_once(EULER, problems["kepler"], corr, 0.0, problems["kepler"].initial, 0.1)
 
     def test_network_receives_x_xnext_y(self, problems):
@@ -181,15 +181,17 @@ class TestGenericCorrectedStep:
     def test_order_mismatch_rejected(self, exp_problem):
         for method in BASE_METHODS.values():
             for q in {2, 3} - {method.exponent}:
+                message = (rf"corrector exponent {q} does not match {method.name} "
+                           rf"order {method.order} \+ 1")
                 for corr in (Corrector.zero(q), Corrector.network(constant_network(1, 0.0), q)):
-                    with pytest.raises(OrderMismatch):
+                    with pytest.raises(ShapeError, match=message):
                         make_corrected_stepper(method, corr, exp_problem)
-        with pytest.raises(OrderMismatch):
+        with pytest.raises(ShapeError, match=r"corrector exponent 2 does not match heun order"):
             solve_dhm(exp_problem, Corrector.network(constant_network(1, 0.0), 2),
                       StepSchedule.uniform(0.5))
 
     def test_exponent_below_two_rejected(self):
-        with pytest.raises(OrderMismatch):
+        with pytest.raises(ShapeError, match="no base method has order exponent 1"):
             Corrector.zero(1)
 
     def test_exponent_without_a_base_method_rejected_when_built(self, exp_problem):
@@ -197,7 +199,7 @@ class TestGenericCorrectedStep:
         builds = [lambda: Corrector.network(constant_network(1, 0.0), 4),
                   lambda: Corrector.zero(4), lambda: Corrector.oracle(exp_problem, 4)]
         for build in builds:
-            with pytest.raises(OrderMismatch, match="no base method has order exponent 4"):
+            with pytest.raises(ShapeError, match="no base method has order exponent 4"):
                 build()
 
     def test_unknown_kind_rejected(self):
@@ -228,6 +230,29 @@ class TestSolveLoops:
         traj = solve_dhm(prob, Corrector.oracle(prob, 3), StepSchedule.uniform(1.0))
         assert traj.xs[0] == 15.0 and traj.xs[-1] == 20.0
         assert max_abs_error(traj, problems["kepler"].exact) <= 1e-9
+
+
+class TestErrorBound:
+    """The paper's global error bound for DEM. With eps the largest gap
+    |N - R_m| along the truth (R_m the scaled Euler defect), L the Lipschitz
+    constant of f and L_N that of the network, one step gives
+    |e_{m+1}| <= (1 + hL + h^2 L_N)|e_m| + h^2 eps, so that
+    |e_m| <= h eps (e^{K(x_m - a)} - 1) / K with K = L + h L_N."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(lam=st.floats(-3.0, -0.1), seed=st.integers(0, 2**16), clip=st.floats(0.3, 1.5),
+           h=st.sampled_from([0.05, 0.1, 0.2, 0.5]))
+    def test_dem_error_within_bound(self, lam, seed, clip, h):
+        problem = OdeProblem(name="decay", dim=1, rhs=lambda x, y: lam * y, domain=(0.0, 3.0),
+                             initial=np.array([1.0]), exact=lambda x: np.array([math.exp(lam * x)]))
+        params = clip_weights(init([3, 16, 16, 1], seed), clip)
+        corrector = Corrector.network(params, 2)
+        schedule = StepSchedule.uniform(h)
+        traj = solve_dem(problem, corrector, schedule)
+        errors = np.abs(traj.ys[:, 0] - np.exp(lam * traj.xs))
+        eps = np.max(eps_series(corrector, problem, schedule)[1])
+        k = abs(lam) + h * lipschitz_bound(params)
+        assert np.all(errors <= h * eps * np.expm1(k * (traj.xs - problem.domain[0])) / k)
 
 
 def reference_forward(params, a):

@@ -1,5 +1,6 @@
-"""The package's public names resolve and have callers, and no run of it,
-reference and oracle solves included, imports scipy."""
+"""The package's public names resolve and have callers, every error class
+is raised or caught, and no run of it, reference and oracle solves included,
+imports scipy."""
 
 import ast
 import json
@@ -211,6 +212,41 @@ def test_a_scipy_import_is_found():
     code = ("import numpy as np, scipy.linalg\nfrom .scipy_like import x\n"
             "def f():\n    from scipy.integrate import solve_ivp\n    return solve_ivp\n")
     assert _scipy_imports(ast.parse(code)) == {"scipy.linalg", "scipy.integrate"}
+
+
+def _raised_or_caught(tree) -> set:
+    """The names that ``tree`` raises (``raise E(...)``, ``raise E``) or
+    catches (``except E``, ``except (E, F)``), bare or as an attribute."""
+    def named(node) -> set:
+        node = node.func if isinstance(node, ast.Call) else node
+        if isinstance(node, ast.Tuple):
+            return set().union(*map(named, node.elts))
+        if isinstance(node, ast.Name):
+            return {node.id}
+        return {node.attr} if isinstance(node, ast.Attribute) else set()
+
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            names |= named(node.exc)
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names |= named(node.type)
+    return names
+
+
+def test_every_error_class_is_raised_or_caught():
+    defined = {node.name for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    used = set().union(*(_raised_or_caught(ast.parse(path.read_text()))
+                         for path in PACKAGE.glob("*.py") if path.name != "errors.py"))
+    assert defined - used == set()
+
+
+def test_a_raise_or_catch_is_found():
+    code = ("from . import errors\nfrom .errors import Unused\n"
+            "def f():\n    try:\n        raise errors.A('x') from None\n"
+            "    except (B, errors.C):\n        raise\n    except D as err:\n        raise E\n")
+    assert _raised_or_caught(ast.parse(code)) == {"A", "B", "C", "D", "E"}
 
 
 def test_no_source_line_exceeds_100_characters():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, RK45, solve_ivp  # test-only: what ode's solver reproduces
 
-from deep_euler.errors import MinStepReached, NonFiniteState, UnknownProblem
+from deep_euler.errors import ConfigError, NonFiniteState, NumericalError
 from deep_euler.ode import (
     REFERENCE_TOL,
     OdeProblem,
@@ -316,14 +316,14 @@ class TestReferenceSolver:
     def test_min_step_failure_on_blowup(self):
         # y' = y^2 from y(0)=1 blows up at x=1; pushing past it must fail.
         prob = scalar_problem(lambda x, y: y * y, domain=(0.0, 2.0), y0=1.0)
-        with pytest.raises(MinStepReached):
+        with pytest.raises(NumericalError, match="reference solve failed near x="):
             solve_reference(prob, [2.0])
 
     def test_local_flow_past_a_blowup_fails_without_warning(self):
         prob = scalar_problem(lambda x, y: y * y, domain=(0.0, 2.0), y0=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(MinStepReached, match="local solve failed"):
+            with pytest.raises(NumericalError, match="local solve failed"):
                 flow(prob, 0.0, prob.initial, 2.0)
 
     def test_local_flow_over_an_empty_span_is_the_start_and_backward_refused(self, problems):
@@ -430,7 +430,7 @@ class TestRegistry:
         assert np.allclose(rhs, [0.0, 1.0])
 
     def test_unknown_name(self):
-        with pytest.raises(UnknownProblem):
+        with pytest.raises(ConfigError, match="unknown problem 'vanderpol'; available: "):
             get_problem("vanderpol")
 
     @settings(max_examples=60, deadline=None)
