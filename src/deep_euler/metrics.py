@@ -142,8 +142,8 @@ def stability_scan(
     h leaves once unbounded or non-finite. The flags are the result: batched
     network values can differ from a one-h solve at rounding level."""
     hs = [float(h) for h in h_grid]
-    if not (lam < 0 and all(0 < h < math.inf for h in hs)):
-        raise ValueError("stability scan expects lam < 0 and finite positive step sizes")
+    if not (-math.inf < lam < 0 and all(0 < h < math.inf for h in hs)):
+        raise ValueError("stability scan expects a finite lam < 0 and finite positive step sizes")
     if steps < 1 or not bound > 0:
         raise ValueError(f"stability scan expects steps >= 1 and bound > 0, got {steps}, {bound}")
     if corrector.kind == "oracle":

@@ -107,9 +107,11 @@ class StepSchedule:
         span = b - a
         if self.h > span:
             raise ValueError(f"step {self.h} exceeds interval length {span}")
+        ratio = span / self.h
+        if not math.isfinite(ratio):
+            raise ValueError(f"step {self.h} is too small for interval length {span}")
         # Relative epsilon so that span/h landing a hair under an integer
         # still counts as an exact fit.
-        ratio = span / self.h
         m_full = int(math.floor(ratio * (1.0 + 1e-12) + 1e-12))
         xs = a + self.h * np.arange(m_full + 1, dtype=np.float64)
         if xs[-1] < b - 1e-12 * span:
@@ -150,20 +152,6 @@ def heun_increment(problem: OdeProblem, x, y: np.ndarray, h) -> np.ndarray:
     return 0.5 * (k1 + k2)
 
 
-def euler_step(problem: OdeProblem, x: float, y: np.ndarray, h: float) -> np.ndarray:
-    """One forward Euler step, first order: EULER's advance under _QUIET, for
-    callers outside a solve."""
-    with np.errstate(**_QUIET):
-        return EULER.advance(problem, x, y, h)
-
-
-def heun_step(problem: OdeProblem, x: float, y: np.ndarray, h: float) -> np.ndarray:
-    """One Heun step, second order: HEUN's advance under _QUIET, for callers
-    outside a solve."""
-    with np.errstate(**_QUIET):
-        return HEUN.advance(problem, x, y, h)
-
-
 @dataclass(frozen=True)
 class BaseMethod:
     """A classical single-step method of the given order. ``advance`` is
@@ -174,7 +162,6 @@ class BaseMethod:
 
     name: str
     increment: Callable[[OdeProblem, float, np.ndarray, float], np.ndarray]
-    step: Callable[[OdeProblem, float, np.ndarray, float], np.ndarray]
     order: int
     corrected: str
 
@@ -187,11 +174,19 @@ class BaseMethod:
         """One step, y + h * increment, with no error state of its own."""
         return y + h * self.increment(problem, x, y, h)
 
+    def step(self, problem: OdeProblem, x: float, y: np.ndarray, h: float) -> np.ndarray:
+        """One step, advance under _QUIET, for callers outside a solve."""
+        with np.errstate(**_QUIET):
+            return self.advance(problem, x, y, h)
 
-EULER = BaseMethod("euler", euler_increment, euler_step, order=1, corrected="dem")
-HEUN = BaseMethod("heun", heun_increment, heun_step, order=2, corrected="dhm")
 
-# Every base method, by name; a new base method is one more row here.
+EULER = BaseMethod("euler", euler_increment, order=1, corrected="dem")
+HEUN = BaseMethod("heun", heun_increment, order=2, corrected="dhm")
+euler_step = EULER.step  # one forward Euler step, first order
+heun_step = HEUN.step  # one Heun step, second order
+
+# Every base method, by name. A new base method is its increment and one more
+# row here, of an order no other row has: a Corrector names its row by exponent.
 BASE_METHODS = {m.name: m for m in (EULER, HEUN)}
 
 
@@ -212,8 +207,9 @@ def solve_fixed(problem: OdeProblem, schedule: StepSchedule, stepper) -> Traject
     ys[0] = problem.initial
     mesh = xs.tolist()  # Python floats: cheaper scalar arithmetic, same values
     # A public step enters _QUIET on every call; its row's advance is the same
-    # step inside the solve's own.
-    stepper = next((m.advance for m in BASE_METHODS.values() if stepper is m.step), stepper)
+    # step inside the solve's own. A bound method is a new object on each access,
+    # so the match is by ==.
+    stepper = next((m.advance for m in BASE_METHODS.values() if stepper == m.step), stepper)
     isfinite, y = math.isfinite, ys[0]
     # One error state for the whole solve: a step's overflow, the correction's
     # included, ends in NonFiniteState below, not in a warning.

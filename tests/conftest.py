@@ -1,9 +1,11 @@
 """Shared fixtures and a per-criterion summary for the acceptance suite."""
 
+import math
+
 import numpy as np
 import pytest
 
-from deep_euler.ode import builtin_problems
+from deep_euler.ode import OdeProblem, builtin_problems
 
 _acceptance_results = []
 
@@ -14,6 +16,19 @@ _TRAINING_FIXTURES = {"example1_corrector", "lotka_volterra_corrector", "kepler_
 @pytest.fixture
 def problems():
     return builtin_problems()
+
+
+@pytest.fixture
+def exp_problem():
+    """y' = y on [0, 1] with y(0) = 1: exactly exp."""
+    return OdeProblem(
+        name="exp_growth",
+        dim=1,
+        rhs=lambda x, y: y.copy(),
+        domain=(0.0, 1.0),
+        initial=np.array([1.0]),
+        exact=lambda x: np.array([math.exp(x)]),
+    )
 
 
 @pytest.fixture

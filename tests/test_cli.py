@@ -263,7 +263,7 @@ class TestTables:
         assert trainings == []
         assert capsys.readouterr().err.startswith("error: points_list: ")
 
-    @pytest.mark.parametrize("h_list", [[0.1, 20], [0.1, 6], [0.5, -1]])
+    @pytest.mark.parametrize("h_list", [[0.1, 20], [0.1, 6], [0.5, -1], [1e-320]])
     def test_table1_checks_h_before_training(self, tmp_path, capsys, monkeypatch, h_list):
         trainings = count_trainings(monkeypatch)
         assert run("table1", "--out-dir", tmp_path, "--points", 10, "--epochs", 1,
@@ -276,9 +276,10 @@ class TestTables:
         "argv",
         [["--noise-levels", 0, 1.5], ["--noise-levels", 0, "--h-list", 0.5, -1],
          ["--noise-levels", 0, "--points", 1], ["--noise-levels", 0, "--seed", -1],
-         ["--noise-levels", 0.0100001, 0.01000012], ["--noise-levels", 0.05, 0, 0.05]],
+         ["--noise-levels", 0.0100001, 0.01000012], ["--noise-levels", 0.05, 0, 0.05],
+         ["--noise-levels", 0, "--h-list", 1e-320]],
         ids=["noise_level", "negative_h", "one_point", "negative_seed", "shared_model_name",
-             "repeated_level"],
+             "repeated_level", "tiny_h"],
     )
     def test_table3_checks_arguments_before_training(self, tmp_path, capsys, monkeypatch, argv):
         trainings = count_trainings(monkeypatch)
@@ -445,6 +446,11 @@ class TestRejectedArguments:
              "--h-list", 0, 0.2, 0.1, "--checkpoint", CHECKPOINT],
             ["solve", "--problem", "lotka_volterra", "--method", "dhm", "--h", 6,
              "--interval", 0, 5, "--checkpoint", CHECKPOINT],
+            ["solve", "--problem", "example1", "--method", "euler", "--h", 1e-320],
+            ["convergence", "--problem", "example1", "--method", "euler",
+             "--h-list", 4e-320, 2e-320, 1e-320],
+            # argparse reads a bare -inf as an option, so the value is joined to its flag.
+            ["stability", "--lam=-inf", "--h-grid", 0.1, 0.2],
         ],
         ids=["h_zero", "h_longer_than_domain", "reversed_interval", "positive_lam",
              "missing_checkpoint", "two_h_values", "zero_seeds", "negative_steps",
@@ -453,12 +459,14 @@ class TestRejectedArguments:
              "nan_min_gap", "checkpoint_unread_by_euler", "checkpoint_unread_by_heun",
              "checkpoint_unread_with_oracle", "checkpoint_unread_with_clip_ln",
              "infinite_h_grid_zero", "infinite_h_grid_checkpoint",
-             "zero_h_before_checkpoint_shape", "long_h_before_checkpoint_shape"],
+             "zero_h_before_checkpoint_shape", "long_h_before_checkpoint_shape",
+             "tiny_h", "tiny_h_list", "infinite_lam"],
     )
     def test_exits_2(self, tmp_path, capsys, argv):
         argv = [str(a).format(missing=tmp_path / "missing.bin") for a in argv]
         assert run(*argv, "--out-dir", tmp_path / "out") == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def error_classes(cls=DeepEulerError):

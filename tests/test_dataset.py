@@ -38,6 +38,7 @@ def scalar_problem(rhs, domain=(0.0, 10.0), y0=0.0, exact=None):
     )
 
 
+# Overrides the shared exp_problem on purpose: dataset tests sample y' = y on [0, 10].
 @pytest.fixture
 def exp_problem():
     return scalar_problem(

@@ -12,37 +12,30 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 from test_mlp import MODERATE, networks, reference_forward_one
 
+from deep_euler.dataset import NoiseSpec, PairPolicy, build_pairs, sample_measurements
 from deep_euler.dem import Corrector, make_corrected_stepper, solve_dem, solve_dhm
 from deep_euler.errors import NonFiniteState, ShapeError
-from deep_euler.metrics import eps_series, max_abs_error
+from deep_euler.metrics import eps_mean, eps_series, max_abs_error
 from deep_euler.mlp import MlpParams, clip_weights, init, lipschitz_bound
 from deep_euler.ode import (
     BASE_METHODS,
     EULER,
     HEUN,
+    BaseMethod,
     OdeProblem,
     StepSchedule,
+    euler_increment,
     euler_step,
     flow,
     heun_step,
     restrict,
+    solve_fixed,
 )
+
 
 def step_once(method, problem, corrector, x, y, h):
     """One corrected step of ``method`` from (x, y), through a freshly bound stepper."""
     return make_corrected_stepper(method, corrector, problem)(problem, x, y, h)
-
-
-@pytest.fixture
-def exp_problem():
-    return OdeProblem(
-        name="exp_growth",
-        dim=1,
-        rhs=lambda x, y: y.copy(),
-        domain=(0.0, 1.0),
-        initial=np.array([1.0]),
-        exact=lambda x: np.array([math.exp(x)]),
-    )
 
 
 def constant_network(dim, value):
@@ -58,7 +51,7 @@ class TestZeroCorrector:
     @staticmethod
     def check_reduces_to_base(method, base_step, problems, rng):
         """A zero corrector leaves the base step unchanged, bit for bit."""
-        assert method.step is base_step
+        assert method.step == base_step
         zero = Corrector.zero(method.exponent)
         for prob in (problems["example1"], problems["kepler"]):
             stepper = make_corrected_stepper(method, zero, prob)
@@ -78,6 +71,30 @@ class TestZeroCorrector:
 
     def test_method_table_has_only_euler_and_heun(self):
         assert set(BASE_METHODS.values()) == {EULER, HEUN}
+
+
+def rk4_increment(problem, x, y, h):
+    """The classical Runge-Kutta increment, (k1 + 2 k2 + 2 k3 + k4) / 6."""
+    k1 = euler_increment(problem, x, y, h)
+    k2 = euler_increment(problem, x + h / 2, y + h / 2 * k1, h)
+    k3 = euler_increment(problem, x + h / 2, y + h / 2 * k2, h)
+    k4 = euler_increment(problem, x + h, y + h * k3, h)
+    return (k1 + 2 * k2 + 2 * k3 + k4) / 6
+
+
+def test_a_new_base_method_is_one_row(monkeypatch, problems):
+    # RK4 needs its increment and one row of BASE_METHODS, nothing else.
+    rk4 = BaseMethod("rk4", rk4_increment, order=4, corrected="drk4")
+    monkeypatch.setitem(BASE_METHODS, "rk4", rk4)
+    ex1, schedule = problems["example1"], StepSchedule.uniform(0.5)
+    oracle = make_corrected_stepper(rk4, Corrector.oracle(ex1, 5), ex1)
+    assert max_abs_error(solve_fixed(ex1, schedule, oracle), ex1.exact) < 1e-9
+    assert max_abs_error(solve_fixed(ex1, schedule, rk4.step), ex1.exact) > 1e-3
+    measurements = sample_measurements(ex1, (0.0, 5.0), 20, NoiseSpec(), seed=0)
+    _, targets = build_pairs(ex1, measurements, PairPolicy.all_pairs(), "rk4")
+    assert targets.shape == (190, 1) and np.isfinite(targets).all()
+    eps = eps_mean(Corrector.network(init((3, 8, 1), seed=0), 5), ex1, schedule)
+    assert math.isfinite(eps)
 
 
 class TestOracleCorrector:

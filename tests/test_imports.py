@@ -94,16 +94,20 @@ UNCALLED_PUBLIC = {
     "stack_samples": "tests/test_acceptance.py trains on the build_pairs arrays through it",
     "lipschitz_bound": "tests/test_acceptance.py checks a clipped network's bound with it",
     "PairPolicy.all_pairs": "tests/test_acceptance.py builds the example1 pairs with it",
+    "euler_step": "tests/test_acceptance.py and bench/workloads.py solve with it; "
+                  "the package calls EULER.step",
+    "heun_step": "tests/test_acceptance.py and bench/workloads.py solve with it; "
+                 "the package calls HEUN.step",
 }
 
 
-def _binds(node, name) -> bool:
-    """Whether top-level ``node`` defines ``name`` (def, class or assignment)."""
+def _bound_names(node) -> set:
+    """The names that top-level ``node`` defines (def, class or assignment)."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-        return node.name == name
+        return {node.name}
     if isinstance(node, ast.Assign):
-        return any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
-    return False
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return set()
 
 
 def _references(tree, name, skip=None) -> bool:
@@ -126,6 +130,22 @@ def _references(tree, name, skip=None) -> bool:
     return False
 
 
+def _has_caller(trees, name) -> bool:
+    """Whether some tree uses ``name`` outside its own top-level definition."""
+    for tree in trees:
+        definition = next((n for n in tree.body if name in _bound_names(n)), None)
+        if _references(tree, name, definition):
+            return True
+    return False
+
+
+def _package_trees() -> list:
+    """The parsed modules of the package but ``__init__``, which re-exports
+    every public name and so is not searched for callers."""
+    return [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")
+            if path.name != "__init__.py"]
+
+
 def _uncalled_public_names() -> set:
     """Names in ``__all__`` that no module of the package uses outside their
     own definition, and ``Class.method`` for each public method or property
@@ -135,13 +155,8 @@ def _uncalled_public_names() -> set:
     searched."""
     import deep_euler
 
-    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")
-             if path.name != "__init__.py"]
-    uncalled = {
-        name for name in deep_euler.__all__
-        if not any(_references(tree, name, next((n for n in tree.body if _binds(n, name)), None))
-                   for tree in trees)
-    }
+    trees = _package_trees()
+    uncalled = {name for name in deep_euler.__all__ if not _has_caller(trees, name)}
     methods = [(f"{cls.name}.{node.name}", node) for tree in trees for cls in tree.body
                if isinstance(cls, ast.ClassDef) and cls.name in deep_euler.__all__
                for node in cls.body
@@ -156,6 +171,30 @@ def test_every_public_name_has_a_caller():
 
     assert {name.split(".")[0] for name in UNCALLED_PUBLIC} <= set(deep_euler.__all__)
     assert _uncalled_public_names() == set(UNCALLED_PUBLIC)
+
+
+def _uncalled_module_names(trees) -> set:
+    """The public names that the top level of a tree defines (def, class or
+    assignment) and no tree uses outside that definition."""
+    defined = {name for tree in trees for node in tree.body for name in _bound_names(node)}
+    return {name for name in defined
+            if not name.startswith("_") and not _has_caller(trees, name)}
+
+
+def test_every_public_module_name_has_a_caller():
+    # build_parser looks up each command's cmd_<name> through globals().
+    from deep_euler import cli
+
+    commands = {f"cmd_{name}" for name in cli._COMMANDS}
+    exempt = {name for name in UNCALLED_PUBLIC if "." not in name}
+    assert _uncalled_module_names(_package_trees()) == exempt | commands
+
+
+def test_a_dead_helper_is_found():
+    trees = [ast.parse("LIMIT = 3\n_PRIVATE = 4\ndef used():\n    return LIMIT\n"
+                       "def dead(n):\n    return dead(n - 1)\n"),
+             ast.parse("from .a import used\nclass Unused:\n    x = used()\n")]
+    assert _uncalled_module_names(trees) == {"dead", "Unused"}
 
 
 def test_only_code_counts_as_a_caller():

@@ -31,18 +31,6 @@ from deep_euler.ode import (
 )
 
 
-@pytest.fixture
-def exp_problem():
-    return OdeProblem(
-        name="exp_growth",
-        dim=1,
-        rhs=lambda x, y: y.copy(),
-        domain=(0.0, 1.0),
-        initial=np.array([1.0]),
-        exact=lambda x: np.array([math.exp(x)]),
-    )
-
-
 def zero_network(dim):
     return MlpParams((dim + 2, dim), (np.zeros((dim, dim + 2)),), (np.zeros(dim),))
 
@@ -299,6 +287,11 @@ class TestStabilityScan:
         for corr in (clipped_linear_corrector(6.0), Corrector.zero(2)):
             with pytest.raises(ValueError, match="finite positive step sizes"):
                 stability_scan(-5.0, corr, [0.1, math.inf])
+
+    @pytest.mark.parametrize("lam", [-math.inf, math.nan, 0.0])
+    def test_lam_must_be_finite_and_negative(self, lam):
+        with pytest.raises(ValueError, match="finite lam < 0"):
+            stability_scan(lam, Corrector.zero(2), [0.1, 0.2])
 
     def test_oracle_rejected(self, exp_problem):
         with pytest.raises(ValueError, match="network or zero"):

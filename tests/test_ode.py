@@ -11,6 +11,8 @@ from scipy.integrate import DOP853, RK45, solve_ivp  # test-only: what ode's sol
 
 from deep_euler.errors import ConfigError, NonFiniteState, NumericalError
 from deep_euler.ode import (
+    EULER,
+    HEUN,
     REFERENCE_TOL,
     OdeProblem,
     StepSchedule,
@@ -38,13 +40,19 @@ def scalar_problem(rhs, domain=(0.0, 1.0), y0=0.0, exact=None):
     )
 
 
-@pytest.fixture
-def exp_problem():
-    return scalar_problem(
-        lambda x, y: y.copy(),
-        y0=1.0,
-        exact=lambda x: np.array([math.exp(x)]),
-    )
+def count_errstates(monkeypatch, stepper):
+    """How many times a solve of example1 at h = 0.1 with ``stepper`` enters
+    numpy's error state."""
+    entries = []
+    errstate = np.errstate
+
+    def counted(**kwargs):
+        entries.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counted)
+    solve_fixed(get_problem("example1"), StepSchedule.uniform(0.1), stepper)
+    return len(entries)
 
 
 class TestSchedules:
@@ -71,6 +79,12 @@ class TestSchedules:
     def test_uniform_step_larger_than_interval_rejected(self):
         with pytest.raises(ValueError):
             StepSchedule.uniform(3.0).mesh(0.0, 1.0)
+
+    @pytest.mark.parametrize("h", [1e-320, 5e-324])
+    def test_step_too_small_to_count_rejected(self, h):
+        # span / h overflows to inf: no mesh of that many steps exists.
+        with pytest.raises(ValueError, match="too small"):
+            StepSchedule.uniform(h).mesh(0.0, 10.0)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -127,7 +141,7 @@ class TestSteppers:
             euler_step(prob, 0.75, np.array([0.0]), 0.1)
         assert exc.value.x == 0.75
 
-    @pytest.mark.parametrize("stepper", [euler_step, heun_step])
+    @pytest.mark.parametrize("stepper", [euler_step, heun_step], ids=["euler_step", "heun_step"])
     @pytest.mark.parametrize(
         "rhs",
         [
@@ -226,6 +240,16 @@ class TestSolveFixed:
         assert str(exc.value) == "non-finite state at x=0.5 (step 1)"
         assert np.geterr() == before
 
+    @pytest.mark.parametrize("stepper", [euler_step, heun_step, EULER.step, HEUN.step],
+                             ids=["euler_step", "heun_step", "EULER.step", "HEUN.step"])
+    def test_public_step_enters_the_error_state_once_per_solve(self, monkeypatch, stepper):
+        # solve_fixed runs the row's advance inside its own error state.
+        assert count_errstates(monkeypatch, stepper) == 1
+
+    def test_other_stepper_enters_the_error_state_once_per_step(self, monkeypatch):
+        # 100 steps, each under the public step's own, plus the solve's.
+        assert count_errstates(monkeypatch, lambda *args: euler_step(*args)) == 101
+
     @settings(max_examples=100, deadline=None)
     @given(method=st.sampled_from(["euler", "heun"]), dim=st.integers(1, 4),
            j=st.integers(0, 7))
@@ -254,6 +278,7 @@ class TestSolveFixed:
     @pytest.mark.parametrize(
         "stepper,expected_ratio,tol",
         [(euler_step, 2.0, 0.2), (heun_step, 4.0, 0.4)],
+        ids=["euler_step-2.0-0.2", "heun_step-4.0-0.4"],
     )
     def test_error_ratio_under_step_halving(self, exp_problem, stepper, expected_ratio, tol):
         errors = []
