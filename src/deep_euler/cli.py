@@ -14,6 +14,7 @@ error line is its message.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -70,17 +71,10 @@ _ACCEPTS = {int: ((int, np.integer), "an integer"), float: ((int, float, np.floa
 _TRAIN_MINIMUMS = {"points": 2, "hidden_layers": 1, "hidden_width": 1, "seed": 0, "dataset_seed": 0}
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def _csv(header: list[str], rows) -> bytes:
-    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
-    return ("\n".join(lines) + "\n").encode()
+    text = io.StringIO()
+    np.savetxt(text, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    return text.getvalue().encode()
 
 
 def _write_artifacts(out_dir, manifest: dict, files: dict, message: str) -> int:
@@ -226,7 +220,7 @@ def _method_stepper(name: str, problem, checkpoint, oracle: bool = False):
 def cmd_train(args) -> int:
     cfg = _resolve_train_config(args)
     params, losses = _run_training(cfg)
-    loss_csv = _csv(["epoch", "mean_loss"], enumerate(losses, 1))
+    loss_csv = _csv(["epoch", "mean_loss"], list(enumerate(losses, 1)))
     manifest = {**_recorded(args), "config": cfg, "network_widths": list(params.layer_widths)}
     files = {"model": ("model.bin", mlp.save_model(params)), "loss_csv": ("loss.csv", loss_csv)}
     return _write_artifacts(args.out_dir, manifest, files, f"trained {cfg['problem']} "
@@ -342,8 +336,7 @@ def cmd_table2(args) -> int:
                 try:
                     params, _ = _run_training(cfg)
                     corrector = dem.Corrector.network(params, EULER.exponent)
-                    ends, gaps = metrics.eps_series(corrector, problem, schedule)
-                    eps.append([np.mean(gaps[metrics.region_mask(ends, r)]) for r in regions])
+                    eps.append([metrics.eps_mean(corrector, problem, schedule, r) for r in regions])
                 except NumericalError as err:
                     print(f"warning: cell points={points} arch={arch} run={run} failed: {err}",
                           file=sys.stderr)

@@ -102,6 +102,10 @@ def build_pairs(
         raise ConfigError("pair policy eliminated every pair")
     x_i, z_i, x_j = xs[idx_i], zs[idx_i], xs[idx_j]
     targets = scaled_defect(method, problem, x_i, z_i.T, x_j, zs[idx_j].T)
+    finite = np.isfinite(targets).all(axis=0)
+    if not finite.all():  # a gap so small that dx^(p+1) underflows, or the defect overflows
+        gap = np.min((x_j - x_i)[~finite])
+        raise ConfigError(f"min_gap: the {base} target of a pair {gap:.3g} apart is not finite")
     return np.column_stack((x_i, x_j, z_i)), np.ascontiguousarray(targets.T)
 
 

@@ -260,8 +260,8 @@ def clip_weights(params: MlpParams, clip_bound: float) -> MlpParams:
 
 def _row_scale(w: np.ndarray, clip_bound: float) -> np.ndarray:
     """Column of per-row factors that bring each row's absolute sum to at most clip_bound."""
-    row_sums = np.sum(np.abs(w), axis=1)
-    return np.where(row_sums > clip_bound, clip_bound / np.maximum(row_sums, 1e-300), 1.0)[:, None]
+    sums = np.sum(np.abs(w), axis=1)
+    return np.divide(clip_bound, sums, out=np.ones_like(sums), where=sums > clip_bound)[:, None]
 
 
 def save_model(params: MlpParams) -> bytes:

@@ -22,9 +22,9 @@ Rhs = Callable[[float, np.ndarray], np.ndarray]
 # of problems without a closed form.
 REFERENCE_TOL = 1e-6
 
-# The error state of every step and solve: overflow and invalid operations are
-# reported through NonFiniteState, not as warnings.
-_QUIET = {"over": "ignore", "invalid": "ignore"}
+# The error state of every step and solve: no floating-point event warns. A
+# non-finite value ends in NonFiniteState, or in build_pairs' ConfigError.
+_QUIET = {"all": "ignore"}
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,14 @@ class StepSchedule:
         span = b - a
         if self.h > span:
             raise ValueError(f"step {self.h} exceeds interval length {span}")
-        ratio = span / self.h
-        if not math.isfinite(ratio):
-            raise ValueError(f"step {self.h} is too small for interval length {span}")
         # Relative epsilon so that span/h landing a hair under an integer
         # still counts as an exact fit.
-        m_full = int(math.floor(ratio * (1.0 + 1e-12) + 1e-12))
+        steps = span / self.h * (1.0 + 1e-12) + 1e-12
+        # An infinite count, or more points than the largest float64 array
+        # numpy can describe (intp.max // 8 elements), has no mesh.
+        if not steps < np.iinfo(np.intp).max // 8:
+            raise ValueError(f"step {self.h} is too small for interval length {span}")
+        m_full = int(steps)
         xs = a + self.h * np.arange(m_full + 1, dtype=np.float64)
         if xs[-1] < b - 1e-12 * span:
             xs = np.append(xs, b)  # shortened final step lands on b

@@ -1,11 +1,16 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
+import hashlib
 import json
+import math
+import re
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deep_euler import cli
 from deep_euler.cli import main
@@ -24,7 +29,8 @@ def read_csv(path):
 
 
 TINY_TRAIN = ["--points", 25, "--epochs", 2, "--seed", 0]
-CHECKPOINT = Path(__file__).resolve().parent.parent / "bench/data/ex1_dem.bin"
+ROOT = Path(__file__).resolve().parent.parent
+CHECKPOINT = ROOT / "bench/data/ex1_dem.bin"
 
 
 def count_trainings(monkeypatch):
@@ -115,6 +121,16 @@ class TestTrain:
             == 2
         )
 
+    def test_non_finite_pair_targets_exit_2(self, tmp_path, capsys):
+        # Measurements about 1e-301 apart: each target divides by dx^2 = 0.
+        out = tmp_path / "out"
+        assert run("train", "--problem", "example1", "--points", 3, "--epochs", 1,
+                   "--interval", 0, 1e-300, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: min_gap: the euler target of a pair \S+ apart "
+                            r"is not finite\n", err)
+        assert not out.exists()
+
     def test_env_seed_overrides_config(self, tmp_path, monkeypatch):
         out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         run("train", "--problem", "example1", "--out-dir", out_a, *TINY_TRAIN)
@@ -163,6 +179,13 @@ class TestSolve:
                        "--checkpoint", tiny_model, "--out-dir", out) == 0
             outs.append(out / "trajectory.csv")
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_benchmark_trajectory_matches_its_golden_hash(self, tmp_path):
+        golden = json.loads((ROOT / "bench/golden.json").read_text())["solve_eval"]
+        assert run("solve", "--problem", "example1", "--method", "dem", "--h", 1.0,
+                   "--checkpoint", CHECKPOINT, "--out-dir", tmp_path) == 0
+        digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest()
+        assert digest == golden["trajectory_sha256"]
 
     def test_dimension_mismatch_exits_3(self, tmp_path, tiny_model):
         assert run("solve", "--problem", "kepler", "--method", "dem", "--h", 1.0,
@@ -468,6 +491,25 @@ class TestRejectedArguments:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, h",
+        [
+            (["solve", "--problem", "example1", "--method", "euler", "--h", 1e-300], 1e-300),
+            (["solve", "--problem", "example1", "--method", "euler", "--h", 2.2e-18], 2.2e-18),
+            (["convergence", "--problem", "example1", "--method", "euler",
+              "--h-list", 4e-300, 2e-300, 1e-300], 4e-300),
+            (["table1", "--points", 10, "--epochs", 1, "--h-list", 0.1, 1e-300], 1e-300),
+        ],
+        ids=["solve", "solve_2.2e-18", "convergence", "table1"],
+    )
+    def test_too_many_steps_names_the_step(self, tmp_path, capsys, monkeypatch, argv, h):
+        # The step count is finite but more than an array can hold.
+        trainings = count_trainings(monkeypatch)
+        assert run(*argv, "--out-dir", tmp_path / "out") == 2
+        assert trainings == []
+        assert capsys.readouterr().err == f"error: step {h} is too small for interval length 10.0\n"
+        assert not (tmp_path / "out").exists()
+
 
 def error_classes(cls=DeepEulerError):
     for sub in cls.__subclasses__():
@@ -500,3 +542,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: {message or 'MemoryError'}\n"
         assert not (tmp_path / "manifest.json").exists()
+
+
+# Python ints within float64's exact range, bools and any float64.
+CSV_VALUES = st.one_of(st.integers(-(2**53) + 1, 2**53 - 1), st.booleans(), st.floats())
+CSV_TABLES = st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.tuples(*[CSV_VALUES] * width), max_size=5).map(
+        lambda rows: ([f"c{i}" for i in range(width)], rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=CSV_TABLES)
+def test_csv_round_trips_every_value(table):
+    header, rows = table
+    lines = cli._csv(header, rows).decode().split("\n")
+    assert lines[0] == ",".join(header) and lines[-1] == ""  # a trailing newline
+    assert len(lines) == len(rows) + 2
+    for line, row in zip(lines[1:], rows):
+        fields = line.split(",")
+        assert len(fields) == len(row)
+        for field, value in zip(fields, row):
+            if isinstance(value, float):
+                parsed = float(field)
+                assert (math.isnan(parsed) and math.isnan(value)) or (
+                    np.float64(parsed).tobytes() == np.float64(value).tobytes())
+            else:
+                assert field == str(int(value))  # no decimal point, no exponent

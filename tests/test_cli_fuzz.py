@@ -39,8 +39,8 @@ FLAG_VALUES = {
     "--num-seeds": ([1, 2], [0, -1]),
     "--points-list": ([2, 5, 10], [1, 0, "x"]),
     "--archs": (["2x8", "1x4"], ["bogus", "2x0", "x8"]),
-    "--h": ([0.5, 1.0, 2.5], [0, -1, 6, 20, "nan", "x", "1e-320"]),
-    "--h-list": ([0.5, 1.0], [0, -1, 6, 20, "nan", "x", "1e-320"]),
+    "--h": ([0.5, 1.0, 2.5], [0, -1, 6, 20, "nan", "x", "1e-320", "1e-300"]),
+    "--h-list": ([0.5, 1.0], [0, -1, 6, 20, "nan", "x", "1e-320", "1e-300"]),
     "--h-grid": ([0.1, 0.5, 0.9], [0, -1, "x"]),
     "--lam": ([-5.0, -1.0], [5.0, 0.0, "nan", "x"]),
     "--steps": ([10, 100], [0, -3, "x"]),

@@ -231,6 +231,16 @@ class TestBuildPairs:
         assert info.value.x == 2.0
         assert np.geterr() == before
 
+    def test_non_finite_target_names_the_smallest_gap(self, exp_problem):
+        # dx^2 underflows to 0 for gaps near 1e-301: their targets divide by zero.
+        ms = measurements_at([0.0, 2e-301, 5e-301, 1.0], [1.0, 1.0, 1.0, math.e])
+        message = "min_gap: the euler target of a pair 2e-301 apart is not finite"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            build_pairs(exp_problem, ms, PairPolicy.all_pairs())
+        # A min_gap above those gaps drops their pairs; the rest are finite.
+        _, targets = build_pairs(exp_problem, ms, PairPolicy(1e-300))
+        assert len(targets) == 3 and np.isfinite(targets).all()
+
     @pytest.mark.parametrize("gap", [-1.0, float("nan")], ids=["negative", "nan"])
     def test_min_gap_rejects_a_gap_below_zero_or_nan(self, gap):
         with pytest.raises(ConfigError, match="min_gap"):

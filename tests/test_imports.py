@@ -288,6 +288,32 @@ def test_a_raise_or_catch_is_found():
     assert _raised_or_caught(ast.parse(code)) == {"A", "B", "C", "D", "E"}
 
 
+def _errstates(tree) -> list:
+    """Each ``errstate(...)`` call in ``tree``, as (line, whether its only
+    argument is ``**_QUIET``)."""
+    calls = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "errstate"):
+            only = [(k.arg, getattr(k.value, "id", None)) for k in node.keywords]
+            calls.append((node.lineno, not node.args and only == [(None, "_QUIET")]))
+    return sorted(calls)
+
+
+def test_every_errstate_is_the_quiet_policy():
+    # One constant, ode._QUIET, says that no floating-point event warns.
+    calls = {f"{path.name}:{line}": quiet for path in sorted(PACKAGE.glob("*.py"))
+             for line, quiet in _errstates(ast.parse(path.read_text()))}
+    assert calls and [where for where, quiet in calls.items() if not quiet] == []
+
+
+def test_an_errstate_of_its_own_is_found():
+    code = ("with np.errstate(**_QUIET):\n    pass\nwith np.errstate(over='ignore'):\n    pass\n"
+            "with np.errstate(**_QUIET, divide='warn'):\n    pass\n"
+            "with np.errstate(**OTHER):\n    pass\n")
+    assert _errstates(ast.parse(code)) == [(1, True), (3, False), (5, False), (7, False)]
+
+
 def test_no_source_line_exceeds_100_characters():
     long_lines = [f"{path.name}:{number}" for path in sorted(PACKAGE.glob("*.py"))
                   for number, line in enumerate(path.read_text().splitlines(), 1)

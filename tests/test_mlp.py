@@ -482,6 +482,12 @@ class TestClipWeights:
         params = MlpParams((1, 1), (np.array([[5.0]]),), (np.array([2.0]),))
         assert np.array_equal(clip_weights(params, 1.0).biases[0], [2.0])
 
+    @pytest.mark.parametrize("bound", [1.0, 1e-301, 1e-310, 5e-324])
+    def test_clipped_row_meets_a_bound_of_any_size(self, bound):
+        # A row of twice the bound is halved, subnormal bounds included.
+        raw = MlpParams((3, 1), (np.array([[0.0, 0.0, 2 * bound]]),), (np.zeros(1),))
+        assert lipschitz_bound(clip_weights(raw, bound)) == bound
+
     @pytest.mark.parametrize("bound", [0.0, -1.0])
     def test_non_positive_bound_rejected(self, bound):
         with pytest.raises(ValueError, match="clip_bound must be positive"):

@@ -80,10 +80,11 @@ class TestSchedules:
         with pytest.raises(ValueError):
             StepSchedule.uniform(3.0).mesh(0.0, 1.0)
 
-    @pytest.mark.parametrize("h", [1e-320, 5e-324])
+    @pytest.mark.parametrize("h", [1e-320, 5e-324, 1e-300, 2.2e-18])
     def test_step_too_small_to_count_rejected(self, h):
-        # span / h overflows to inf: no mesh of that many steps exists.
-        with pytest.raises(ValueError, match="too small"):
+        # span / h overflows to inf, or passes intp.max // 8, the most points
+        # a float64 array can hold: no mesh of that many steps exists.
+        with pytest.raises(ValueError, match=f"^step {h} is too small for interval length 10.0$"):
             StepSchedule.uniform(h).mesh(0.0, 10.0)
 
     @settings(max_examples=300, deadline=None)
