@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -65,8 +64,7 @@ _TRAIN_KEYS = {
     "clip_bound": (None, {"type": float}),
 }
 # What each type accepts, and its name in errors; a bool counts as neither number.
-_ACCEPTS = {int: ((int, np.integer), "an integer"), float: ((int, float, np.floating), "a number"),
-            str: (str, "a string")}
+_ACCEPTS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
 # Lower bounds of integer keys; mlp.TrainConfig checks the optimizer's own.
 _TRAIN_MINIMUMS = {"points": 2, "hidden_layers": 1, "hidden_width": 1, "seed": 0, "dataset_seed": 0}
 
@@ -127,19 +125,6 @@ def _load_config_file(path) -> dict:
         if key not in _TRAIN_KEYS:
             raise ConfigError(f"{key}: unknown configuration key")
     return raw
-
-
-def _resolve_train_config(args) -> dict:
-    """``dem train``'s config: the file, then DEM_SEED, then the flags."""
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    env_seed = os.environ.get("DEM_SEED")
-    try:
-        env_cfg = {} if env_seed is None else {"seed": int(env_seed)}
-    except ValueError:
-        raise ConfigError(f"DEM_SEED: expected an integer, got {env_seed!r}") from None
-    # Every config key has a flag of the same name.
-    flags = {key: getattr(args, key) for key in _TRAIN_KEYS if getattr(args, key) is not None}
-    return _train_config(file_cfg, env_cfg, flags)
 
 
 def _train_config(*overrides: dict) -> dict:
@@ -218,7 +203,9 @@ def _method_stepper(name: str, problem, checkpoint, oracle: bool = False):
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve_train_config(args)
+    # Every config key has a flag of the same name, and the flags override the file.
+    flags = {key: getattr(args, key) for key in _TRAIN_KEYS if getattr(args, key) is not None}
+    cfg = _train_config(_load_config_file(args.config) if args.config else {}, flags)
     params, losses = _run_training(cfg)
     loss_csv = _csv(["epoch", "mean_loss"], list(enumerate(losses, 1)))
     manifest = {**_recorded(args), "config": cfg, "network_widths": list(params.layer_widths)}
@@ -356,7 +343,7 @@ def cmd_table3(args) -> int:
     problem = get_problem("example1")
     levels = {}  # model name -> noise level; two levels may not share a name
     for level in args.noise_levels:
-        name = "model_noise_" + format(level, "g").replace(".", "p")
+        name = "model_noise_" + format(level + 0.0, "g").replace(".", "p")  # -0.0 names level 0
         if name in levels:
             raise ConfigError(f"noise_levels: {levels[name]} and {level} share model name {name}")
         levels[name] = level

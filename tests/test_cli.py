@@ -131,17 +131,17 @@ class TestTrain:
                             r"is not finite\n", err)
         assert not out.exists()
 
-    def test_env_seed_overrides_config(self, tmp_path, monkeypatch):
-        out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-        run("train", "--problem", "example1", "--out-dir", out_a, *TINY_TRAIN)
+    def test_environment_does_not_change_the_bytes(self, tmp_path, monkeypatch):
+        # A run's settings come from its flags and its config file only.
+        outs = [tmp_path / "with_env", tmp_path / "without_env"]
+        train = ["train", "--problem", "example1", "--points", 25, "--epochs", 2, "--out-dir"]
         monkeypatch.setenv("DEM_SEED", "99")
-        run("train", "--problem", "example1", "--out-dir", out_b,
-            "--points", 25, "--epochs", 2)
-        run("train", "--problem", "example1", "--out-dir", out_c,
-            "--points", 25, "--epochs", 2)
-        assert (out_a / "model.bin").read_bytes() != (out_b / "model.bin").read_bytes()
-        assert (out_b / "model.bin").read_bytes() == (out_c / "model.bin").read_bytes()
-        assert json.loads((out_b / "manifest.json").read_text())["config"]["seed"] == 99
+        assert run(*train, outs[0]) == 0
+        monkeypatch.delenv("DEM_SEED")
+        assert run(*train, outs[1]) == 0
+        for name in ("model.bin", "loss.csv", "manifest.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        assert json.loads((outs[0] / "manifest.json").read_text())["config"]["seed"] == 0
 
 
 class TestSolve:
@@ -300,9 +300,9 @@ class TestTables:
         [["--noise-levels", 0, 1.5], ["--noise-levels", 0, "--h-list", 0.5, -1],
          ["--noise-levels", 0, "--points", 1], ["--noise-levels", 0, "--seed", -1],
          ["--noise-levels", 0.0100001, 0.01000012], ["--noise-levels", 0.05, 0, 0.05],
-         ["--noise-levels", 0, "--h-list", 1e-320]],
+         ["--noise-levels", 0, "--h-list", 1e-320], ["--noise-levels", 0, -0.0]],
         ids=["noise_level", "negative_h", "one_point", "negative_seed", "shared_model_name",
-             "repeated_level", "tiny_h"],
+             "repeated_level", "tiny_h", "negative_zero_level"],
     )
     def test_table3_checks_arguments_before_training(self, tmp_path, capsys, monkeypatch, argv):
         trainings = count_trainings(monkeypatch)

@@ -1,6 +1,6 @@
 """The package's public names resolve and have callers, every error class
-is raised or caught, and no run of it, reference and oracle solves included,
-imports scipy."""
+is raised or caught, no module reads the environment, and no run of it,
+reference and oracle solves included, imports scipy."""
 
 import ast
 import json
@@ -251,6 +251,35 @@ def test_a_scipy_import_is_found():
     code = ("import numpy as np, scipy.linalg\nfrom .scipy_like import x\n"
             "def f():\n    from scipy.integrate import solve_ivp\n    return solve_ivp\n")
     assert _scipy_imports(ast.parse(code)) == {"scipy.linalg", "scipy.integrate"}
+
+
+# The os names through which a module reads environment variables.
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree) -> set:
+    """The names of ``ENVIRONMENT_READS`` that ``tree`` loads as an attribute
+    (``os.environ``) or imports (``from os import getenv``)."""
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names.update(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names)
+    return names & ENVIRONMENT_READS
+
+
+def test_no_module_reads_the_environment():
+    # A run's settings come from its flags and its config file; the BLAS
+    # thread variables are numpy's to read.
+    reads = {path.name: _environment_reads(ast.parse(path.read_text()))
+             for path in PACKAGE.glob("*.py")}
+    assert {name: names for name, names in reads.items() if names} == {}
+
+
+def test_an_environment_read_is_found():
+    for code, name in [("import os\nseed = os.environ.get('SEED')\n", "environ"),
+                       ("import os\nseed = os.getenv('SEED')\n", "getenv"),
+                       ("from os import environ\n", "environ")]:
+        assert _environment_reads(ast.parse(code)) == {name}, code
+    assert _environment_reads(ast.parse("import os\npath = os.path.join('a', 'b')\n")) == set()
 
 
 def _raised_or_caught(tree) -> set:
