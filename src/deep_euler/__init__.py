@@ -4,7 +4,6 @@ that approximates the scaled local truncation error."""
 __version__ = "0.1.0"
 
 from .dataset import (
-    Measurement,
     NoiseSpec,
     PairPolicy,
     build_pairs,
@@ -57,7 +56,6 @@ __all__ = [
     "EULER",
     "HEUN",
     "Corrector",
-    "Measurement",
     "MlpParams",
     "NoiseSpec",
     "OdeProblem",

@@ -1,27 +1,19 @@
 """Mesh-free measurement synthesis and training-pair construction.
 
-Measurements are ground-truth states at uniformly random abscissae,
-optionally contaminated with relative Gaussian noise. Every ordered pair
-(x_i < x_j) yields one supervised sample whose target is the scaled
-one-step defect of the base method between the two measurements
-(``ode.scaled_defect``). Pairs are built and returned as arrays.
+Measurements are two arrays: uniformly random abscissae and their ground-truth
+states, optionally with relative Gaussian noise. Every ordered pair (x_i < x_j)
+yields one supervised sample whose target is the scaled one-step defect of the
+base method between the two measurements (``ode.scaled_defect``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .ode import BASE_METHODS, OdeProblem, evaluate_truth, scaled_defect
-
-
-@dataclass(frozen=True)
-class Measurement:
-    x: float
-    z: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -56,11 +48,11 @@ def sample_measurements(
     count: int,
     noise: NoiseSpec,
     seed: int,
-) -> list[Measurement]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``count`` abscissae from U(lo, hi) and attach (noisy) ground truth.
 
-    Returned sorted by x; reproducible for a fixed seed. Ground truth is the
-    exact solution when the problem has one, else a 1e-6 reference solve.
+    Returns (xs, zs): sorted abscissae (count,), states (count, dim); the same for one seed.
+    Ground truth is the exact solution if the problem has one, else a 1e-6 reference solve.
     """
     lo, hi = interval
     a, b = problem.domain
@@ -74,27 +66,30 @@ def sample_measurements(
     if noise.level > 0.0:
         g = rng.standard_normal(size=zs.shape)
         zs = zs * (1.0 + noise.level * g)
-    return [Measurement(float(x), z) for x, z in zip(xs, zs)]
+    return xs, zs
 
 
 def build_pairs(
     problem: OdeProblem,
-    measurements: Sequence[Measurement],
+    measurements: tuple[np.ndarray, np.ndarray],
     policy: PairPolicy,
     base: str = "euler",
 ) -> tuple[np.ndarray, np.ndarray]:
     """All pairs with x_i < x_j passing the policy, as (inputs, targets):
     inputs rows (x_i, x_j, z_i) of shape (B, n+2), targets the scaled defect
-    of the ``base`` method, of shape (B, n)."""
+    of the ``base`` method, of shape (B, n). ``measurements`` is (xs, zs) of
+    shapes (count,) and (count, n), in any order."""
     method = BASE_METHODS.get(base)
     if method is None:
         raise ConfigError(f"target: unknown base method {base!r}")
-    if len(measurements) < 2:
+    xs, zs = (np.asarray(a, dtype=np.float64) for a in measurements)
+    if xs.ndim != 1 or zs.shape != (len(xs), problem.dim):
+        raise ShapeError(f"measurements: xs {xs.shape}, zs {zs.shape} do not fit dim {problem.dim}")
+    if len(xs) < 2:
         raise ConfigError("need at least 2 measurements to form pairs")
-    ms = sorted(measurements, key=lambda m: m.x)
-    xs = np.array([m.x for m in ms])
-    zs = np.stack([m.z for m in ms])
-    idx_i, idx_j = np.triu_indices(len(ms), k=1)
+    order = np.argsort(xs, kind="stable")
+    xs, zs = xs[order], zs[order]
+    idx_i, idx_j = np.triu_indices(len(xs), k=1)
     gaps = xs[idx_j] - xs[idx_i]
     keep = (gaps > 0.0) & (gaps >= policy.gap)  # > 0 drops duplicate abscissae
     idx_i, idx_j = idx_i[keep], idx_j[keep]

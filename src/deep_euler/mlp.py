@@ -21,6 +21,14 @@ _MAGIC = b"FCN1"
 _FORMAT_VERSION = 1
 _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8  # Adam defaults of Kingma & Ba
 _ZERO = np.zeros(())  # ReLU's floor: a 0-d array spares np.maximum a float conversion per call
+# A dead ReLU unit's weights get zero gradients, so their first Adam moments
+# decay by 0.9 a step into the subnormal range (after about 6,700 steps), where
+# arithmetic is many times slower. Every _FLUSH_EVERY steps, train zeroes the
+# first moments under _FLUSH_FLOOR: such an m moves theta by at most
+# lr |m| / (c1 eps), about 1e-141, as lr < 1, c1 >= 1 - 0.9 and eps = 1e-8.
+# Second moments decay by 0.999 a step and are left alone.
+_FLUSH_EVERY = 1024
+_FLUSH_FLOOR = 1e-150
 
 
 def _chunk_sizes(widths: Sequence[int]) -> list[int]:
@@ -241,6 +249,11 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, learning_ra
     theta -= step
 
 
+def _flush_first_moments(state: AdamState) -> None:
+    """Zero the first moments under _FLUSH_FLOOR in magnitude; every other entry keeps its bits."""
+    state.first[np.abs(state.first) < _FLUSH_FLOOR] = 0.0
+
+
 def lipschitz_bound(params: MlpParams) -> float:
     """alpha^K with alpha the max infinity-operator-norm over weight matrices.
 
@@ -331,6 +344,8 @@ def train(
             idx = perm[start : start + config.batch_size]
             loss, grad = loss_and_grad(theta, x[idx], y[idx], work)
             adam_step(theta.data, grad.data, state, config.learning_rate)
+            if state.step_count % _FLUSH_EVERY == 0:
+                _flush_first_moments(state)
             if config.clip_bound is not None:
                 for w in theta.weights:
                     w *= _row_scale(w, config.clip_bound)

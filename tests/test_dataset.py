@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deep_euler.dataset import (
-    Measurement,
     NoiseSpec,
     PairPolicy,
     build_pairs,
@@ -17,7 +16,7 @@ from deep_euler.dataset import (
     stack_samples,
 )
 from deep_euler.dem import Corrector
-from deep_euler.errors import ConfigError, NonFiniteState
+from deep_euler.errors import ConfigError, NonFiniteState, ShapeError
 from deep_euler.metrics import eps_series
 from deep_euler.mlp import init
 from deep_euler.ode import (
@@ -48,7 +47,9 @@ def exp_problem():
 
 
 def measurements_at(xs, zs):
-    return [Measurement(float(x), np.atleast_1d(np.asarray(z, float))) for x, z in zip(xs, zs)]
+    """(xs, zs) arrays as sample_measurements returns them, one state row per abscissa."""
+    xs = np.asarray(xs, float)
+    return xs, np.asarray(zs, float).reshape(len(xs), -1)
 
 
 def one_defect(method, problem, x_i, x_j, z_i, z_j):
@@ -77,20 +78,21 @@ def scalar_defect(problem, base, x_i, x_j, z_i, z_j):
 class TestSampling:
     def test_noise_free_values_follow_closed_form(self, problems):
         prob = problems["example1"]
-        ms = sample_measurements(prob, (0.0, 5.0), 10, NoiseSpec(0.0), seed=3)
-        for m in ms:
-            expected = (m.x + 1.0) ** 1.5 * math.log(m.x + 1.0)
-            assert m.z[0] == pytest.approx(expected, rel=1e-12)
+        xs, zs = sample_measurements(prob, (0.0, 5.0), 10, NoiseSpec(0.0), seed=3)
+        assert xs.shape == (10,) and zs.shape == (10, 1)
+        for x, z in zip(xs, zs):
+            expected = (x + 1.0) ** 1.5 * math.log(x + 1.0)
+            assert z[0] == pytest.approx(expected, rel=1e-12)
 
     def test_deterministic_for_fixed_seed(self, problems):
         prob = problems["example1"]
         a = sample_measurements(prob, (0.0, 5.0), 200, NoiseSpec(0.0), seed=7)
         b = sample_measurements(prob, (0.0, 5.0), 200, NoiseSpec(0.0), seed=7)
-        assert all(x.x == y.x and np.array_equal(x.z, y.z) for x, y in zip(a, b))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_sorted_and_inside_interval(self, problems):
-        ms = sample_measurements(problems["example1"], (1.0, 4.0), 50, NoiseSpec(0.0), seed=0)
-        xs = [m.x for m in ms]
+        xs, _ = sample_measurements(problems["example1"], (1.0, 4.0), 50, NoiseSpec(0.0), seed=0)
+        xs = list(xs)
         assert xs == sorted(xs)
         assert all(1.0 <= x <= 4.0 for x in xs)
 
@@ -105,14 +107,14 @@ class TestSampling:
 
     def test_noise_level_matches_monte_carlo_variance(self, exp_problem):
         # z = y(1 + level*g) so the mean of (z/y - 1)^2 estimates level^2.
-        ms = sample_measurements(exp_problem, (0.5, 3.0), 10_000, NoiseSpec(0.05), seed=1)
-        ratios = np.array([m.z[0] / math.exp(m.x) - 1.0 for m in ms])
+        xs, zs = sample_measurements(exp_problem, (0.5, 3.0), 10_000, NoiseSpec(0.05), seed=1)
+        ratios = np.array([z[0] / math.exp(x) - 1.0 for x, z in zip(xs, zs)])
         assert np.mean(ratios**2) == pytest.approx(0.0025, rel=0.2)
 
     def test_reference_fallback_without_exact(self, problems):
         lv = problems["lotka_volterra"]
-        ms = sample_measurements(lv, (0.0, 5.0), 5, NoiseSpec(0.0), seed=0)
-        assert all(m.z.shape == (2,) and np.all(np.isfinite(m.z)) for m in ms)
+        xs, zs = sample_measurements(lv, (0.0, 5.0), 5, NoiseSpec(0.0), seed=0)
+        assert xs.shape == (5,) and zs.shape == (5, 2) and np.all(np.isfinite(zs))
 
     def test_noise_spec_validation(self):
         with pytest.raises(ConfigError):
@@ -192,7 +194,7 @@ class TestBuildPairs:
         with pytest.raises(ConfigError, match="target: unknown base method 'rk4'"):
             build_pairs(exp_problem, ms, PairPolicy.all_pairs(), "rk4")
         with pytest.raises(ConfigError, match="need at least 2 measurements to form pairs"):
-            build_pairs(exp_problem, ms[:1], PairPolicy.all_pairs())
+            build_pairs(exp_problem, (ms[0][:1], ms[1][:1]), PairPolicy.all_pairs())
 
     def test_inputs_are_x_i_x_j_z_i(self, exp_problem):
         ms = measurements_at([0.0, 1.0], [1.0, math.e])
@@ -206,7 +208,7 @@ class TestBuildPairs:
         inputs, targets = build_pairs(prob, ms, PairPolicy.all_pairs())
         for row, target in zip(inputs, targets):
             x_i, x_j, z_i = row[0], row[1], row[2:]
-            z_j = next(m.z for m in ms if m.x == x_j)
+            z_j = next(z for x, z in zip(*ms) if x == x_j)
             assert np.allclose(target, scalar_defect(prob, "euler", x_i, x_j, z_i, z_j), rtol=1e-12)
 
     def test_non_finite_rhs_names_the_first_bad_abscissa(self):
@@ -246,6 +248,18 @@ class TestBuildPairs:
         with pytest.raises(ConfigError, match="min_gap"):
             PairPolicy(gap)
 
+    @pytest.mark.parametrize(
+        "xs, zs",
+        [([0.0, 1.0, 2.0], np.ones((2, 1))),
+         ([0.0, 1.0, 2.0], np.ones((3, 2))),
+         ([[0.0], [1.0], [2.0]], np.ones((3, 1)))],
+        ids=["too_few_states", "wrong_state_dimension", "two_dimensional_abscissae"],
+    )
+    def test_mismatched_shapes_rejected(self, exp_problem, xs, zs):
+        message = r"^measurements: xs \(.*\), zs \(.*\) do not fit dim 1$"
+        with pytest.raises(ShapeError, match=message):
+            build_pairs(exp_problem, (np.array(xs), zs), PairPolicy.all_pairs())
+
     def test_policy_eliminating_everything(self, exp_problem):
         ms = measurements_at([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(ConfigError, match="pair policy eliminated every pair"):
@@ -273,10 +287,10 @@ class TestPairProperties:
     def test_targets_equal_scalar_oracle(self, case, base):
         problem, ms = case
         inputs, targets = build_pairs(problem, ms, PairPolicy.all_pairs(), base)
-        n = len(ms)
+        n = len(ms[0])
         assert inputs.shape == (n * (n - 1) // 2, problem.dim + 2)
         assert targets.shape == (len(inputs), problem.dim)
-        by_x = {m.x: m.z for m in ms}
+        by_x = dict(zip(*ms))
         for row, target in zip(inputs, targets):
             x_i, x_j, z_i = row[0], row[1], row[2:]
             z_j = by_x[x_j]
@@ -295,6 +309,23 @@ class TestPairProperties:
             terms = np.abs(z_i) + np.abs(z_j) + step
             tol = 256 * np.finfo(float).eps * terms / dx ** BASE_METHODS[base].exponent
             assert np.all(np.abs(target - want) <= tol), (target, want, tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(["example1", "lotka_volterra", "kepler"]),
+        count=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        base=st.sampled_from(sorted(BASE_METHODS)),
+        data=st.data(),
+    )
+    def test_any_order_gives_the_same_pairs(self, name, count, seed, base, data):
+        problem = get_problem(name)
+        xs, zs = sample_measurements(problem, problem.domain, count, NoiseSpec(0.01), seed)
+        perm = np.array(data.draw(st.permutations(range(count)), label="perm"))
+        want = build_pairs(problem, (xs, zs), PairPolicy.all_pairs(), base)
+        got = build_pairs(problem, (xs[perm], zs[perm]), PairPolicy.all_pairs(), base)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(case=measured(), gap=st.floats(0.0, 10.0))

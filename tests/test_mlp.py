@@ -440,6 +440,26 @@ class TestAdam:
         assert state.first.tobytes() == flat(firsts).tobytes()
         assert state.second.tobytes() == flat(seconds).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_flush_zeroes_exactly_the_first_moments_under_the_floor(self, data):
+        # Boundary values of the floor, subnormals, signed zeros and ordinary moments.
+        edges = [0.0, 5e-324, 1e-310, 1e-250, 1e-151, 1e-150, 1e-149, 1.0]
+        edges += [-x for x in edges]
+
+        def moments():
+            elements = st.one_of(st.sampled_from(edges), st.floats(-1e-140, 1e-140),
+                                 st.floats(-1e3, 1e3))
+            return data.draw(arrays(np.float64, st.integers(1, 40), elements=elements))
+        first, second = moments(), np.abs(moments())
+        state = AdamState(1)
+        state.first, state.second = first.copy(), second.copy()
+        mlp._flush_first_moments(state)
+        kept = np.abs(first) >= 1e-150
+        assert state.first.tobytes() == np.where(kept, first, 0.0).tobytes()
+        assert not np.signbit(state.first[~kept]).any()
+        assert state.second.tobytes() == second.tobytes()
+
 
 class TestLipschitz:
     def test_single_layer_row_sum(self):
@@ -627,6 +647,29 @@ class TestTraining:
                           clip_bound=clip_bound)
         got, got_losses = train(x, y, widths, cfg)
         want, want_losses = reference_train(x, y, widths, cfg)
+        assert flat(got.weights).tobytes() == flat(want.weights).tobytes()
+        assert flat(got.biases).tobytes() == flat(want.biases).tobytes()
+        assert np.array(got_losses).tobytes() == np.array(want_losses).tobytes()
+
+    def test_moment_flush_fires_and_keeps_the_bits(self, monkeypatch):
+        # 5,200 steps of one batch each: a hidden unit of this net dies early,
+        # its first moments fall under the flush floor, and the flush at step
+        # 4,096 zeroes them without moving a parameter bit.
+        zeroed = []
+        real = mlp._flush_first_moments
+
+        def counting(state):
+            before = np.count_nonzero(state.first)
+            real(state)
+            zeroed.append(before - np.count_nonzero(state.first))
+
+        monkeypatch.setattr(mlp, "_flush_first_moments", counting)
+        rng = np.random.default_rng(16)
+        x, y = rng.normal(size=(16, 3)), rng.normal(size=(16, 1))
+        cfg = TrainConfig(epochs=5200, learning_rate=5e-3, batch_size=16, seed=3)
+        got, got_losses = train(x, y, [3, 6, 1], cfg)
+        assert len(zeroed) == 5 and sum(zeroed) >= 1
+        want, want_losses = reference_train(x, y, [3, 6, 1], cfg)
         assert flat(got.weights).tobytes() == flat(want.weights).tobytes()
         assert flat(got.biases).tobytes() == flat(want.biases).tobytes()
         assert np.array(got_losses).tobytes() == np.array(want_losses).tobytes()
