@@ -14,6 +14,7 @@ error line is its message.
 from __future__ import annotations
 
 import argparse
+import inspect
 import io
 import json
 import sys
@@ -44,6 +45,12 @@ _EX1_REGION = tuple(_PROBLEM_DEFAULTS["example1"]["interval"])
 # interval come from the problem's defaults, dataset_seed from seed.
 _UNSET = object()
 
+
+def _default(function, name: str):
+    """The default of ``function``'s parameter ``name``: a library default is read, not restated."""
+    return inspect.signature(function).parameters[name].default
+
+
 # dem train's keys, each both a flag and a config-file key, in --help order:
 # key -> (default, argparse keywords). The keywords also type the config
 # file's values: a choice is a string, and an interval a [lo, hi] pair.
@@ -51,17 +58,17 @@ _TRAIN_KEYS = {
     "problem": (_UNSET, {"choices": sorted(_PROBLEM_DEFAULTS)}),
     "points": (_UNSET, {"type": int}),
     "interval": (_UNSET, {"type": float, "nargs": 2, "metavar": ("LO", "HI")}),
-    "noise_level": (0.0, {"type": float}),
-    "min_gap": (0.0, {"type": float}),
+    "noise_level": (dataset.NoiseSpec.level, {"type": float}),
+    "min_gap": (dataset.PairPolicy.gap, {"type": float}),
     "hidden_layers": (8, {"type": int}),
     "hidden_width": (80, {"type": int}),
-    "target": ("euler", {"choices": list(BASE_METHODS)}),
+    "target": (_default(dataset.build_pairs, "base"), {"choices": list(BASE_METHODS)}),
     "epochs": (50, {"type": int}),
-    "learning_rate": (5e-3, {"type": float}),
-    "batch_size": (32, {"type": int}),
-    "seed": (0, {"type": int}),
+    "learning_rate": (mlp.TrainConfig.learning_rate, {"type": float}),
+    "batch_size": (mlp.TrainConfig.batch_size, {"type": int}),
+    "seed": (mlp.TrainConfig.seed, {"type": int}),
     "dataset_seed": (_UNSET, {"type": int}),
-    "clip_bound": (None, {"type": float}),
+    "clip_bound": (mlp.TrainConfig.clip_bound, {"type": float}),
 }
 # What each type accepts, and its name in errors; a bool counts as neither number.
 _ACCEPTS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
@@ -457,8 +464,10 @@ _COMMANDS = {
         ("--h-grid", {"type": float, "nargs": "+", **_REQUIRED}),
         ("--clip-ln", {"type": float,
                        "help": "use a linear corrector clipped to this Lipschitz bound"}),
-        "--checkpoint", ("--steps", {"type": int, "default": 1000}),
-        ("--bound", {"type": float, "default": 10.0}), "--out-dir",
+        "--checkpoint",
+        ("--steps", {"type": int, "default": _default(metrics.stability_scan, "steps")}),
+        ("--bound", {"type": float, "default": _default(metrics.stability_scan, "bound")}),
+        "--out-dir",
     ]),
 }
 

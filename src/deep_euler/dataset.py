@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dem import corrector_input
 from .errors import ConfigError, ShapeError
 from .ode import BASE_METHODS, OdeProblem, evaluate_truth, scaled_defect
 
@@ -76,9 +77,10 @@ def build_pairs(
     base: str = "euler",
 ) -> tuple[np.ndarray, np.ndarray]:
     """All pairs with x_i < x_j passing the policy, as (inputs, targets):
-    inputs rows (x_i, x_j, z_i) of shape (B, n+2), targets the scaled defect
-    of the ``base`` method, of shape (B, n). ``measurements`` is (xs, zs) of
-    shapes (count,) and (count, n), in any order."""
+    inputs rows (x_i, x_j, z_i) of shape (B, n+2), written by
+    ``dem.corrector_input``, targets the scaled defect of the ``base`` method,
+    of shape (B, n). ``measurements`` is (xs, zs) of shapes (count,) and
+    (count, n), in any order."""
     method = BASE_METHODS.get(base)
     if method is None:
         raise ConfigError(f"target: unknown base method {base!r}")
@@ -101,7 +103,8 @@ def build_pairs(
     if not finite.all():  # a gap so small that dx^(p+1) underflows, or the defect overflows
         gap = np.min((x_j - x_i)[~finite])
         raise ConfigError(f"min_gap: the {base} target of a pair {gap:.3g} apart is not finite")
-    return np.column_stack((x_i, x_j, z_i)), np.ascontiguousarray(targets.T)
+    inputs = corrector_input(x_i, x_j, z_i, np.empty((len(x_i), problem.dim + 2)))
+    return inputs, np.ascontiguousarray(targets.T)
 
 
 def stack_samples(pairs: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

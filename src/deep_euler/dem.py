@@ -35,12 +35,19 @@ class Corrector:
     offset: float = 0.0
 
     def __post_init__(self):
-        if all(m.exponent != self.order_exponent for m in BASE_METHODS.values()):
-            raise ShapeError(f"no base method has order exponent {self.order_exponent}")
+        self.method  # refuses an exponent that no base method has
         if self.kind not in ("network", "oracle", "zero"):
             raise ValueError(f"unknown corrector kind {self.kind!r}")
         if (self.params is not None) != (self.kind == "network"):
             raise ValueError("a corrector has params exactly when its kind is 'network'")
+
+    @property
+    def method(self) -> BaseMethod:
+        """The row of ``ode.BASE_METHODS`` whose correction exponent is this corrector's."""
+        for method in BASE_METHODS.values():
+            if method.exponent == self.order_exponent:
+                return method
+        raise ShapeError(f"no base method has order exponent {self.order_exponent}")
 
     @classmethod
     def network(cls, params: MlpParams, order_exponent: int = 2) -> "Corrector":
@@ -65,11 +72,22 @@ class Corrector:
         return cls(kind="zero", order_exponent=order_exponent)
 
 
+def corrector_input(x_start, x_end, y_start, out: np.ndarray) -> np.ndarray:
+    """Write the network's input rows (x_start, x_end, y_start) into ``out`` and
+    return it. One row: floats, a state (n,) and ``out`` (n + 2,); a batch:
+    abscissae (B,), states (B, n) and ``out`` (B, n + 2). Training pairs
+    (x_i, x_j, z_i) and a corrected step from x to x + h are both this row."""
+    out[..., 0] = x_start
+    out[..., 1] = x_end
+    out[..., 2:] = y_start
+    return out
+
+
 def checked_network(method: BaseMethod, corrector: Corrector, dim: int) -> Optional[MlpParams]:
     """The corrector's network, None for an oracle or zero corrector, checked
-    to fit ``method`` and a problem of dimension ``dim``: the corrector's
-    exponent is the method's, and a network maps dim + 2 -> dim."""
-    if corrector.order_exponent != method.exponent:
+    to fit ``method`` and a problem of dimension ``dim``: the corrector's base
+    method is ``method``, and a network maps dim + 2 -> dim."""
+    if corrector.method != method:
         raise ShapeError(f"corrector exponent {corrector.order_exponent} does not match "
                          f"{method.name} order {method.order} + 1")
     params = corrector.params
@@ -108,10 +126,7 @@ def make_corrected_stepper(method: BaseMethod, corrector: Corrector, problem: Od
 
     def network_stepper(problem, x, y, h):
         base = advance(problem, x, y, h)
-        inp[0] = x
-        inp[1] = x + h
-        inp[2:] = y
-        return base + h**q * forward_into(layers, inp)
+        return base + h**q * forward_into(layers, corrector_input(x, x + h, y, inp))
 
     return network_stepper
 

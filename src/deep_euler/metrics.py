@@ -8,15 +8,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dem import Corrector, checked_network
+from .dem import Corrector, checked_network, corrector_input
 from .mlp import bind_layers, forward_batch, forward_into
 from .ode import (
     _QUIET,
-    BASE_METHODS,
     EULER,
     OdeProblem,
     StepSchedule,
     Trajectory,
+    _closed_form,
     evaluate_truth,
     scaled_defect,
     solve_fixed,
@@ -39,7 +39,7 @@ def max_abs_error(trajectory: Trajectory, exact) -> float:
     ``exact`` is a callable x -> state or a precomputed (M+1, n) array.
     """
     if callable(exact):
-        truth = np.stack([np.asarray(exact(x), float) for x in trajectory.xs.tolist()])
+        truth = _closed_form(exact, trajectory.xs)
     else:
         truth = np.asarray(exact, dtype=np.float64)
     if truth.shape != trajectory.ys.shape:
@@ -63,11 +63,11 @@ def eps_series(
     """
     if corrector.kind != "network":
         raise ValueError("eps diagnostics are defined for network correctors")
-    method = next(m for m in BASE_METHODS.values() if m.exponent == corrector.order_exponent)
+    method = corrector.method
     params = checked_network(method, corrector, problem.dim)
     xs = schedule.mesh(*problem.domain)
     truth = evaluate_truth(problem, xs)
-    inputs = np.column_stack((xs[:-1], xs[1:], truth[:-1]))
+    inputs = corrector_input(xs[:-1], xs[1:], truth[:-1], np.empty((len(xs) - 1, problem.dim + 2)))
     n_vals = forward_batch(params, inputs)
     r_vals = scaled_defect(method, problem, xs[:-1], truth[:-1].T, xs[1:], truth[1:].T)
     return xs[1:], np.sum(np.abs(n_vals - r_vals.T), axis=1)
@@ -166,11 +166,8 @@ def stability_scan(
             if params is not None:
                 if n != bound_rows:
                     layers, bound_rows = tuple(bind_layers(params, [z[:n] for z in outputs])), n
-                a = inputs[:n]
-                np.multiply(m, h, out=a[:, 0])
-                np.add(a[:, 0], h, out=a[:, 1])
-                a[:, 2] = y
-                n_vals = forward_into(layers, a)
+                x = m * h
+                n_vals = forward_into(layers, corrector_input(x, x + h, y[:, None], inputs[:n]))
                 y_next += h**EULER.exponent * n_vals[:, 0]
             keep = np.isfinite(y_next) & (np.abs(y_next) <= bound)
             live, h, y = live[keep], h[keep], y_next[keep]

@@ -226,6 +226,8 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, learning_ra
     Element by element the arithmetic is that of the per-tensor update
     m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g,
     theta = theta - (lr (m/c1)) / (sqrt(v/c2) + eps), so the bits are too.
+    Once c1 = 1 - b1^t rounds to 1.0 (from step 356 on), m/c1 is m and its
+    pass is skipped.
     """
     if not np.isfinite(grad).all():
         raise NumericalError("gradient contains NaN or infinity")
@@ -240,8 +242,11 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, learning_ra
     np.multiply(grad, 1.0 - _BETA2, out=step)
     step *= grad
     v += step
-    np.divide(m, c1, out=step)
-    step *= learning_rate
+    if c1 == 1.0:
+        np.multiply(m, learning_rate, out=step)
+    else:
+        np.divide(m, c1, out=step)
+        step *= learning_rate
     np.divide(v, c2, out=denom)
     np.sqrt(denom, out=denom)
     denom += _EPSILON

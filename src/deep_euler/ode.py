@@ -342,12 +342,17 @@ def flow(problem: OdeProblem, x0: float, y0: np.ndarray, x1: float) -> np.ndarra
     return _dopri5(problem.rhs, x0, np.asarray(y0, float), x1, 2.5e-14, 1e-14)
 
 
+def _closed_form(exact: Callable[[float], np.ndarray], xs: np.ndarray) -> np.ndarray:
+    """The closed-form solution ``exact`` at each of xs, one row per point."""
+    # Python floats: the closed forms use math.*, which takes them faster.
+    return np.stack([np.asarray(exact(x), float) for x in xs.tolist()])
+
+
 def evaluate_truth(problem: OdeProblem, xs) -> np.ndarray:
     """Ground-truth states at xs: the exact solution if present, else a reference solve."""
     xs = np.asarray(xs, dtype=np.float64)
     if problem.exact is not None:
-        # Python floats: the closed forms use math.*, which takes them faster.
-        return np.stack([np.asarray(problem.exact(x), float) for x in xs.tolist()])
+        return _closed_form(problem.exact, xs)
     return solve_reference(problem, xs).ys
 
 

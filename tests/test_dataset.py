@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from deep_euler import dem, metrics
 from deep_euler.dataset import (
     NoiseSpec,
     PairPolicy,
@@ -15,16 +17,17 @@ from deep_euler.dataset import (
     sample_measurements,
     stack_samples,
 )
-from deep_euler.dem import Corrector
+from deep_euler.dem import Corrector, make_corrected_stepper
 from deep_euler.errors import ConfigError, NonFiniteState, ShapeError
 from deep_euler.metrics import eps_series
-from deep_euler.mlp import init
+from deep_euler.mlp import forward_batch, forward_into, init
 from deep_euler.ode import (
     BASE_METHODS,
     EULER,
     HEUN,
     OdeProblem,
     StepSchedule,
+    evaluate_truth,
     get_problem,
     scaled_defect,
 )
@@ -358,3 +361,67 @@ class TestPairProperties:
         corr = Corrector.network(init([dim + 2, 4, dim], seed=0), BASE_METHODS[base].exponent)
         with pytest.raises(ValueError, match="rhs returned shape"):
             eps_series(corr, prob, StepSchedule.uniform(0.25))
+
+
+class TestTrainInferContract:
+    """The network is trained on rows (x_i, x_j, z_i) and a corrected step from
+    x to x + h feeds it (x, x + h, y): the same row, as dem.corrector_input writes it."""
+
+    @staticmethod
+    def network_corrector(problem, base):
+        return Corrector.network(init([problem.dim + 2, 4, problem.dim], seed=0),
+                                 BASE_METHODS[base].exponent)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["example1", "lotka_volterra", "kepler"]),
+        base=st.sampled_from(sorted(BASE_METHODS)),
+        x=st.floats(0.0, 5.0),
+        h=st.floats(1e-3, 1.0),
+        data=st.data(),
+    )
+    def test_a_pair_row_is_the_stepper_input(self, name, base, x, h, data):
+        problem = get_problem(name)
+        # Positive states keep kepler's rhs off its singularity.
+        states = arrays(np.float64, (2, problem.dim), elements=st.floats(0.5, 2.0))
+        zs = data.draw(states, label="zs")
+        (row,), _ = build_pairs(problem, (np.array([x, x + h]), zs), PairPolicy.all_pairs(), base)
+        seen = []
+
+        def spy(layers, a):
+            seen.append(a.copy())
+            return forward_into(layers, a)
+
+        corrector = self.network_corrector(problem, base)
+        stepper = make_corrected_stepper(BASE_METHODS[base], corrector, problem)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dem, "forward_into", spy)
+            stepper(problem, x, zs[0], h)
+        assert len(seen) == 1
+        assert seen[0].tobytes() == row.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(["example1", "lotka_volterra", "kepler"]),
+        base=st.sampled_from(sorted(BASE_METHODS)),
+        h=st.floats(0.4, 5.0),
+    )
+    def test_eps_rows_are_the_consecutive_pair_rows(self, name, base, h):
+        problem = get_problem(name)
+        schedule = StepSchedule.uniform(h)
+        seen = []
+
+        def spy(params, a):
+            seen.append(np.array(a))
+            return forward_batch(params, a)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "forward_batch", spy)
+            eps_series(self.network_corrector(problem, base), problem, schedule)
+        mesh = schedule.mesh(*problem.domain)
+        truth = (mesh, evaluate_truth(problem, mesh))
+        inputs, _ = build_pairs(problem, truth, PairPolicy.all_pairs(), base)
+        consecutive = inputs[:, 1] == mesh[np.searchsorted(mesh, inputs[:, 0]) + 1]
+        assert consecutive.sum() == len(mesh) - 1
+        assert len(seen) == 1
+        assert seen[0].tobytes() == inputs[consecutive].tobytes()

@@ -207,6 +207,10 @@ class TestGenericCorrectedStep:
             solve_dhm(exp_problem, Corrector.network(constant_network(1, 0.0), 2),
                       StepSchedule.uniform(0.5))
 
+    def test_a_corrector_names_its_row_by_exponent(self):
+        for method in BASE_METHODS.values():
+            assert Corrector.zero(method.exponent).method is method
+
     def test_exponent_below_two_rejected(self):
         with pytest.raises(ShapeError, match="no base method has order exponent 1"):
             Corrector.zero(1)

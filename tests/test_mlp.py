@@ -421,24 +421,45 @@ class TestAdam:
             adam_step(theta, np.array([np.inf, 0.0]), state, 0.1)
         assert state.step_count == 0 and np.array_equal(theta, np.zeros(2))
 
-    @settings(max_examples=60, deadline=None)
-    @given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=4), data=st.data())
-    def test_flat_update_equals_per_layer_formula_bitwise(self, widths, data):
+    @staticmethod
+    def check_against_reference(widths, data, start=0, moments=False):
+        """1-4 adam_steps on a flat vector, from step count ``start`` and zero
+        moments (drawn ones when ``moments``), give the bits of reference_adam."""
         shapes = [s for r, c in zip(widths[1:], widths[:-1]) for s in ((r, c), (r,))]
         values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
         lr = data.draw(st.floats(1e-4, 0.5), label="lr")
         tensors = [data.draw(arrays(np.float64, s, elements=values)) for s in shapes]
         firsts = [np.zeros(s) for s in shapes]
         seconds = [np.zeros(s) for s in shapes]
+        if moments:
+            firsts = [data.draw(arrays(np.float64, s, elements=values)) for s in shapes]
+            seconds = [np.abs(data.draw(arrays(np.float64, s, elements=values))) for s in shapes]
         theta = flat(tensors)
         state = AdamState(theta.size)
-        for t in range(1, data.draw(st.integers(1, 4), label="steps") + 1):
+        state.first[...], state.second[...] = flat(firsts), flat(seconds)
+        state.step_count = start
+        for t in range(start + 1, start + data.draw(st.integers(1, 4), label="steps") + 1):
             grads = [data.draw(arrays(np.float64, s, elements=values)) for s in shapes]
             adam_step(theta, flat(grads), state, lr)
             tensors, firsts, seconds = reference_adam(tensors, grads, firsts, seconds, t, lr)
         assert theta.tobytes() == flat(tensors).tobytes()
         assert state.first.tobytes() == flat(firsts).tobytes()
         assert state.second.tobytes() == flat(seconds).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=4), data=st.data())
+    def test_flat_update_equals_per_layer_formula_bitwise(self, widths, data):
+        self.check_against_reference(widths, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+           start=st.sampled_from([353, 354, 355]), data=st.data())
+    def test_update_keeps_the_bits_where_a_bias_correction_turns_one(self, widths, start, data):
+        # c1 = 1 - 0.9^t is exactly 1.0 from t = 356 on, where adam_step skips
+        # the m / c1 pass. The steps t = start + 1, ... straddle that
+        # threshold, from moments of any size.
+        assert 1.0 - 0.9**355 != 1.0 == 1.0 - 0.9**356
+        self.check_against_reference(widths, data, start, moments=True)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
