@@ -84,14 +84,16 @@ def _csv(header: list[str], rows) -> bytes:
 
 def _write_artifacts(out_dir, manifest: dict, files: dict, message: str) -> int:
     """Write ``files`` (output key -> (file name, bytes)) and a manifest.json
-    that lists them into ``out_dir``, then print ``message``; exit code 0."""
+    that lists them into ``out_dir``, then print ``message``; exit code 0. The
+    manifest is strict JSON: a NaN or infinity in it is refused before any write."""
+    outputs = {key: name for key, (name, _) in files.items()}
+    manifest = {**manifest, "outputs": outputs, "tool_version": __version__}
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, data in files.values():
         (out_dir / name).write_bytes(data)
-    outputs = {key: name for key, (name, _) in files.items()}
-    manifest = {**manifest, "outputs": outputs, "tool_version": __version__}
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out_dir / "manifest.json").write_text(text)
     print(message)
     return 0
 

@@ -87,7 +87,7 @@ def checked_network(method: BaseMethod, corrector: Corrector, dim: int) -> Optio
     """The corrector's network, None for an oracle or zero corrector, checked
     to fit ``method`` and a problem of dimension ``dim``: the corrector's base
     method is ``method``, and a network maps dim + 2 -> dim."""
-    if corrector.method != method:
+    if corrector.order_exponent != method.exponent:
         raise ShapeError(f"corrector exponent {corrector.order_exponent} does not match "
                          f"{method.name} order {method.order} + 1")
     params = corrector.params

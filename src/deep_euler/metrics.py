@@ -138,40 +138,35 @@ def stability_scan(
     order, bounded meaning |y_m| <= bound for all of ``steps`` iterations.
     The corrector is a network or zero; an oracle is refused.
 
-    The grid is solved in lockstep, with one batched network call per step; an
-    h leaves once unbounded or non-finite. The flags are the result: batched
-    network values can differ from a one-h solve at rounding level."""
+    The grid advances in lockstep as one fixed batch, with one network call per
+    step. An h that leaves, once its state is unbounded or not a number, keeps
+    its row, which no flag reads again; the scan stops when no h is bounded.
+    The flags are the result: batched network values can differ from a one-h
+    solve at rounding level."""
     hs = [float(h) for h in h_grid]
     if not (-math.inf < lam < 0 and all(0 < h < math.inf for h in hs)):
         raise ValueError("stability scan expects a finite lam < 0 and finite positive step sizes")
-    if steps < 1 or not bound > 0:
-        raise ValueError(f"stability scan expects steps >= 1 and bound > 0, got {steps}, {bound}")
+    if steps < 1 or not 0 < bound < math.inf:
+        raise ValueError(f"stability scan expects steps >= 1 and a finite bound > 0, "
+                         f"got {steps}, {bound}")
     if corrector.kind == "oracle":
         raise ValueError("stability scan expects a network or zero corrector")
     params = checked_network(EULER, corrector, 1)  # None for the zero corrector
-    live, h, y = np.arange(len(hs)), np.array(hs), np.ones(len(hs))
-    # Network inputs (x, x + h, y) and layer outputs for the whole grid; the live
-    # h use the leading rows, bound once per live count. Finite h keep the
-    # inputs finite, since an h leaves once its state is not.
-    inputs = np.empty((len(hs), 3))
-    widths = params.layer_widths[1:] if params is not None else ()
-    outputs = [np.empty((len(hs), w)) for w in widths]
-    layers, bound_rows = (), 0
+    h, y, bounded = np.array(hs), np.ones(len(hs)), np.ones(len(hs), dtype=bool)
+    if params is not None:
+        inputs = np.empty((len(hs), 3))  # (x, x + h, y) per h
+        layers = tuple(bind_layers(params, [np.empty((len(hs), w))
+                                            for w in params.layer_widths[1:]]))
     with np.errstate(**_QUIET):
+        hq = h**EULER.exponent
         for m in range(steps):
-            n = live.size
-            if not n:
-                break
             y_next = y + h * (lam * y)
             if params is not None:
-                if n != bound_rows:
-                    layers, bound_rows = tuple(bind_layers(params, [z[:n] for z in outputs])), n
                 x = m * h
-                n_vals = forward_into(layers, corrector_input(x, x + h, y[:, None], inputs[:n]))
-                y_next += h**EULER.exponent * n_vals[:, 0]
-            keep = np.isfinite(y_next) & (np.abs(y_next) <= bound)
-            live, h, y = live[keep], h[keep], y_next[keep]
-    bounded = np.zeros(len(hs), dtype=bool)
-    bounded[live] = True
+                n_vals = forward_into(layers, corrector_input(x, x + h, y[:, None], inputs))
+                y_next += hq * n_vals[:, 0]
+            bounded &= np.abs(y_next) <= bound  # NaN and +-inf fail a finite bound
+            if not bounded.any():
+                break
+            y = y_next
     return list(zip(hs, bounded.tolist()))
-

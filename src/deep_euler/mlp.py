@@ -121,8 +121,8 @@ class TrainConfig:
             raise ConfigError(f"learning_rate: must be in (0, 1), got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
-        if self.clip_bound is not None and not self.clip_bound > 0:
-            raise ConfigError(f"clip_bound: must be positive, got {self.clip_bound}")
+        if self.clip_bound is not None and not 0.0 < self.clip_bound < np.inf:
+            raise ConfigError(f"clip_bound: must be in (0, inf), got {self.clip_bound}")
 
 
 def init(layer_widths: Sequence[int], seed: int) -> MlpParams:

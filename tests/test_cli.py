@@ -28,6 +28,19 @@ def read_csv(path):
     return header, np.array(rows)
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def strict_json(text):
+    """Parsed JSON that holds no NaN or Infinity."""
+    return json.loads(text, parse_constant=refuse_constant)
+
+
+def read_manifest(out_dir):
+    return strict_json((out_dir / "manifest.json").read_text())
+
+
 TINY_TRAIN = ["--points", 25, "--epochs", 2, "--seed", 0]
 ROOT = Path(__file__).resolve().parent.parent
 CHECKPOINT = ROOT / "bench/data/ex1_dem.bin"
@@ -55,7 +68,7 @@ class TestTrain:
         header, rows = read_csv(out / "loss.csv")
         assert header == ["epoch", "mean_loss"]
         assert len(rows) == 2
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out)
         assert manifest["command"] == "train"
         assert manifest["config"]["points"] == 25
         assert manifest["outputs"]["model"] == "model.bin"
@@ -74,7 +87,7 @@ class TestTrain:
         cfg.write_text(json.dumps({"problem": "example1", "points": 25, "epochs": 1}))
         out = tmp_path / "run"
         assert run("train", "--config", cfg, "--out-dir", out, "--epochs", 2) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out)
         assert manifest["config"]["epochs"] == 2
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
@@ -95,22 +108,25 @@ class TestTrain:
             assert run("train", "--problem", "example1", "--min-gap", gap, "--out-dir", out,
                        *TINY_TRAIN) == 0
         assert (outs[0] / "model.bin").read_bytes() != (outs[1] / "model.bin").read_bytes()
-        config = json.loads((outs[1] / "manifest.json").read_text())["config"]
+        config = read_manifest(outs[1])["config"]
         assert config["min_gap"] == 1.0 and "pair_policy" not in config
 
     @pytest.mark.parametrize(
         "config",
         [{"problem": ["x"]}, {"problem": "example1", "interval": [0, "5"]},
-         {"problem": "example1", "min_gap": float("nan")}, None, ["example1"]],
-        ids=["problem_list", "interval_string", "min_gap_nan", "missing_file", "json_array"],
+         {"problem": "example1", "min_gap": float("nan")}, None, ["example1"],
+         {"problem": "example1", "points": 3, "epochs": 1, "clip_bound": float("inf")}],
+        ids=["problem_list", "interval_string", "min_gap_nan", "missing_file", "json_array",
+             "clip_bound_infinity"],
     )
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         if config is not None:  # None: the file does not exist
-            cfg.write_text(json.dumps(config))
+            cfg.write_text(json.dumps(config))  # NaN and Infinity as Python's json writes them
         assert run("train", "--config", cfg, "--out-dir", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
         if not isinstance(config, dict):
             assert err.startswith(f"error: config file {cfg}: ")
 
@@ -141,7 +157,7 @@ class TestTrain:
         assert run(*train, outs[1]) == 0
         for name in ("model.bin", "loss.csv", "manifest.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
-        assert json.loads((outs[0] / "manifest.json").read_text())["config"]["seed"] == 0
+        assert read_manifest(outs[0])["config"]["seed"] == 0
 
 
 class TestSolve:
@@ -325,7 +341,7 @@ class TestTables:
             out = tmp_path / name
             assert run("table3", "--out-dir", out, "--noise-levels", 0.0, "--h-list", 1.0,
                        "--points", 10, "--epochs", 1, *extra) == 0
-            manifests.append(json.loads((out / "manifest.json").read_text()))
+            manifests.append(read_manifest(out))
         assert [m["dataset_seed"] for m in manifests] == [0, 7]
         assert manifests[0]["outputs"]["model_noise_0"] == "model_noise_0.bin"
 
@@ -363,7 +379,7 @@ class TestConvergenceCommand:
         extra = [] if checkpoint is None else ["--checkpoint", checkpoint]
         assert run("convergence", "--problem", "example1", "--method", method,
                    "--h-list", 0.4, 0.2, 0.1, "--out-dir", out, *extra) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out)
         assert manifest["checkpoint"] == (None if checkpoint is None else str(checkpoint))
 
 
@@ -379,7 +395,7 @@ class TestStabilityCommand:
         out = tmp_path / "stab"
         extra = [] if checkpoint is None else ["--checkpoint", checkpoint]
         assert run("stability", "--h-grid", 0.3, "--out-dir", out, *extra) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out)
         assert manifest["checkpoint"] == (None if checkpoint is None else str(checkpoint))
         assert manifest["corrector"] == ("zero" if checkpoint is None else "checkpoint")
 
@@ -420,8 +436,15 @@ class TestArtifacts:
             assert run(*TINY_RUNS[command], "--out-dir", out) == 0
             runs.append({path.name: path.read_bytes() for path in out.iterdir()})
         assert runs[0] == runs[1]
-        outputs = json.loads(runs[0]["manifest.json"])["outputs"]
+        outputs = strict_json(runs[0]["manifest.json"])["outputs"]
         assert sorted(outputs.values()) == sorted(set(runs[0]) - {"manifest.json"})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_manifest_value_is_refused_before_any_write(self, tmp_path, value):
+        files = {"table": ("table.csv", b"h\n")}
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_artifacts(tmp_path / "out", {"bound": value}, files, "written")
+        assert not (tmp_path / "out").exists()
 
 
 class TestRejectedArguments:
@@ -474,6 +497,9 @@ class TestRejectedArguments:
              "--h-list", 4e-320, 2e-320, 1e-320],
             # argparse reads a bare -inf as an option, so the value is joined to its flag.
             ["stability", "--lam=-inf", "--h-grid", 0.1, 0.2],
+            ["stability", "--h-grid", 0.1, "--bound", "inf"],
+            ["train", "--problem", "example1", "--points", 3, "--epochs", 1,
+             "--clip-bound", "inf"],
         ],
         ids=["h_zero", "h_longer_than_domain", "reversed_interval", "positive_lam",
              "missing_checkpoint", "two_h_values", "zero_seeds", "negative_steps",
@@ -483,13 +509,14 @@ class TestRejectedArguments:
              "checkpoint_unread_with_oracle", "checkpoint_unread_with_clip_ln",
              "infinite_h_grid_zero", "infinite_h_grid_checkpoint",
              "zero_h_before_checkpoint_shape", "long_h_before_checkpoint_shape",
-             "tiny_h", "tiny_h_list", "infinite_lam"],
+             "tiny_h", "tiny_h_list", "infinite_lam", "infinite_bound", "infinite_clip_bound"],
     )
     def test_exits_2(self, tmp_path, capsys, argv):
         argv = [str(a).format(missing=tmp_path / "missing.bin") for a in argv]
         assert run(*argv, "--out-dir", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv, h",

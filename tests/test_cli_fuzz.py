@@ -43,13 +43,13 @@ FLAG_VALUES = {
     "--h-grid": ([0.1, 0.5, 0.9], [0, -1, "x"]),
     "--lam": ([-5.0, -1.0], [5.0, 0.0, "nan", "x"]),
     "--steps": ([10, 100], [0, -3, "x"]),
-    "--bound": ([10.0, 1.0], [0.0, -1.0, "nan"]),
+    "--bound": ([10.0, 1.0], [0.0, -1.0, "nan", "inf"]),
     "--clip-ln": ([1.0, 6.0], [0.0, -1.0, "nan", "inf"]),
     "--noise-level": ([0.0, 0.05, 0.5], [1.5, -0.1, "nan"]),
     "--noise-levels": ([0.0, 0.05, 0.5], [1.5, -0.1, "nan"]),
     "--min-gap": ([0.0, 0.1, 10.0], [-1.0, "nan"]),
     "--learning-rate": ([0.005, 0.1], [0.0, 2.0, "nan", "x"]),
-    "--clip-bound": ([1.0, 0.5], [0.0, -1.0, "nan"]),
+    "--clip-bound": ([1.0, 0.5], [0.0, -1.0, "nan", "inf"]),
     "--interval": ([0.0, 5.0], [30.0, -1.0, "nan"]),
     "--seed": ([0, 1, 7], [-1, "x"]),
     "--dataset-seed": ([0, 3], [-1, "x"]),

@@ -176,6 +176,23 @@ class TestBuildPairs:
         inputs, _ = build_pairs(exp_problem, ms, PairPolicy(2.0))
         assert sorted(inputs[:, 1] - inputs[:, 0]) == [4.0, 5.0]
 
+    def test_min_gap_keeps_a_pair_exactly_that_wide(self, exp_problem):
+        ms = measurements_at([0.0, 1.0, 3.0], [1.0, 2.0, 3.0])
+        inputs, _ = build_pairs(exp_problem, ms, PairPolicy(2.0))
+        assert sorted(inputs[:, 1] - inputs[:, 0]) == [2.0, 3.0]
+
+    def test_equal_abscissae_pair_in_the_given_order(self, exp_problem):
+        # Rows come sorted by abscissa, ties in the order given, whatever sort
+        # kernel numpy picks for the CPU: 40 measurements at 4 abscissae give
+        # an unstable sort enough ties to reorder.
+        xs = np.random.default_rng(0).integers(0, 4, 40).astype(float)
+        zs = np.arange(40.0)
+        order = sorted(range(40), key=lambda k: xs[k])
+        want = [(xs[i], xs[j], zs[i]) for a, i in enumerate(order) for j in order[a + 1:]
+                if xs[j] > xs[i]]
+        inputs, _ = build_pairs(exp_problem, measurements_at(xs, zs), PairPolicy.all_pairs())
+        assert inputs.tolist() == [list(row) for row in want]
+
     def test_all_pairs_is_zero_gap_and_drops_duplicate_abscissae(self, exp_problem):
         assert PairPolicy.all_pairs() == PairPolicy(0.0)
         ms = measurements_at([0.0, 1.0, 1.0], [1.0, 2.0, 2.5])

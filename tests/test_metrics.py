@@ -35,6 +35,13 @@ def zero_network(dim):
     return MlpParams((dim + 2, dim), (np.zeros((dim, dim + 2)),), (np.zeros(dim),))
 
 
+def network_corrector(weights):
+    """An Euler corrector with these weight matrices and zero biases."""
+    widths = (weights[0].shape[1], *(w.shape[0] for w in weights))
+    return Corrector.network(MlpParams(widths, tuple(weights),
+                                       tuple(np.zeros(w.shape[0]) for w in weights)), 2)
+
+
 def clipped_linear_corrector(ln):
     """Linear single-layer net N(x_i, x_j, y) = ln * y, built via clipping."""
     raw = MlpParams((3, 1), (np.array([[0.0, 0.0, 2.0 * ln]]),), (np.zeros(1),))
@@ -273,7 +280,7 @@ class TestStabilityScan:
             want.append((h, margin > 0))
         assert stability_scan(lam, clipped_linear_corrector(ln), grid, steps, bound) == want
 
-    def test_binds_the_network_once_per_live_count(self, monkeypatch):
+    def test_binds_the_network_once(self, monkeypatch):
         binds = []
         real = metrics.bind_layers
         monkeypatch.setattr(metrics, "bind_layers", lambda *a: binds.append(1) or real(*a))
@@ -281,7 +288,28 @@ class TestStabilityScan:
         grid = [0.1, 0.2, 0.3, 0.4, 0.45, 0.5, 0.7, 0.9]
         results = stability_scan(-5.0, corr, grid)
         assert results == reference_lockstep_scan(-5.0, corr, grid, 1000, 10.0)
-        assert 1 <= len(binds) <= 1 + len(grid)
+        assert len(binds) == 1
+
+    @pytest.mark.parametrize("corr, h, state", [
+        # One Euler step of 1e308 * -10 overflows to -inf, which is below the bound.
+        (Corrector.zero(2), 1e308, -math.inf),
+        # N(y) = 1e308 * y, so h^2 * N overflows to +inf.
+        (network_corrector([np.array([[0.0, 0.0, 1e308]])]), 2.0, math.inf),
+        # Both hidden units overflow to inf, and the output is their difference.
+        (network_corrector([np.full((2, 3), 1e308), np.array([[1.0, -1.0]])]), 2.0, math.nan),
+    ], ids=["minus_inf", "plus_inf", "nan"])
+    def test_non_finite_state_is_unbounded(self, corr, h, state):
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_1 = 1.0 + h * -10.0
+            if corr.kind == "network":
+                y_1 += h**2 * forward_batch(corr.params, [[0.0, h, 1.0]])[0, 0]
+        assert np.array_equal(y_1, state, equal_nan=True)
+        assert stability_scan(-10.0, corr, [h], steps=1) == [(h, False)]
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, math.inf, math.nan])
+    def test_bound_must_be_finite_and_positive(self, bound):
+        with pytest.raises(ValueError, match="a finite bound > 0"):
+            stability_scan(-5.0, Corrector.zero(2), [0.1], bound=bound)
 
     def test_infinite_step_is_refused(self):
         for corr in (clipped_linear_corrector(6.0), Corrector.zero(2)):
