@@ -6,8 +6,7 @@ one BLAS thread. A mutant is killed when that run fails, and survives when it
 passes. Each mutant is one formula that the paper or the repo rests on; its
 text must occur exactly once in its file.
 
-    python tests/mutate.py                  # every mutant, about 4 minutes
-    python tests/mutate.py heun_half scan_abs   # the named mutants only
+    python tests/mutate.py    # every mutant, about 4 minutes
 
 Exit code 0 when every mutant is killed or has a recorded reason why it is
 equivalent, 1 when one survives without such a reason, 2 when a mutant's text
@@ -83,13 +82,8 @@ def run_suite(copy: Path) -> tuple[str, float]:
     return (failed or [f"pytest exit code {done.returncode}"])[0], seconds
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    mutants = [m for m in MUTANTS if not names or m.name in names]
-    for mutant in mutants:
+def main() -> int:
+    for mutant in MUTANTS:
         count = (ROOT / "src/deep_euler" / mutant.path).read_text().count(mutant.old)
         if count != 1:
             print(f"{mutant.name}: {mutant.old!r} occurs {count} times in {mutant.path}",
@@ -106,7 +100,7 @@ def main(names: list[str]) -> int:
             print("the unmutated suite fails; no mutant can be judged", file=sys.stderr)
             return 2
         unexplained = []
-        for mutant in mutants:
+        for mutant in MUTANTS:
             path = copy / "src/deep_euler" / mutant.path
             original = path.read_text()
             path.write_text(original.replace(mutant.old, mutant.new))
@@ -128,4 +122,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
