@@ -41,8 +41,7 @@ _PROBLEM_DEFAULTS = {
 # The tables train on example1 and take eps_mean over its training region.
 _EX1_REGION = tuple(_PROBLEM_DEFAULTS["example1"]["interval"])
 
-# The default of a key with none of its own: problem must be given, points and
-# interval come from the problem's defaults, dataset_seed from seed.
+# The default of a key with none of its own, which _train_config fills in or refuses.
 _UNSET = object()
 
 
@@ -166,14 +165,16 @@ def _training_objects(cfg: dict):
     return dataset.NoiseSpec(cfg["noise_level"]), policy, train_cfg
 
 
-def _run_training(cfg: dict) -> tuple[mlp.MlpParams, list[float]]:
+def _run_training(cfg: dict) -> tuple[dem.Corrector, list[float]]:
+    """The network a validated config trains, as its target's corrector, and each epoch's loss."""
     problem = get_problem(cfg["problem"])
     noise, policy, train_cfg = _training_objects(cfg)
     measurements = dataset.sample_measurements(problem, tuple(cfg["interval"]), cfg["points"],
                                                noise, cfg["dataset_seed"])
     inputs, targets = dataset.build_pairs(problem, measurements, policy, cfg["target"])
     widths = [problem.dim + 2] + [cfg["hidden_width"]] * cfg["hidden_layers"] + [problem.dim]
-    return mlp.train(inputs, targets, widths, train_cfg)
+    params, losses = mlp.train(inputs, targets, widths, train_cfg)
+    return dem.Corrector.network(params, BASE_METHODS[cfg["target"]].exponent), losses
 
 
 def _network_corrector(method, checkpoint) -> dem.Corrector:
@@ -215,7 +216,8 @@ def cmd_train(args) -> int:
     # Every config key has a flag of the same name, and the flags override the file.
     flags = {key: getattr(args, key) for key in _TRAIN_KEYS if getattr(args, key) is not None}
     cfg = _train_config(_load_config_file(args.config) if args.config else {}, flags)
-    params, losses = _run_training(cfg)
+    corrector, losses = _run_training(cfg)
+    params = corrector.params
     loss_csv = _csv(["epoch", "mean_loss"], list(enumerate(losses, 1)))
     manifest = {**_recorded(args), "config": cfg, "network_widths": list(params.layer_widths)}
     files = {"model": ("model.bin", mlp.save_model(params)), "loss_csv": ("loss.csv", loss_csv)}
@@ -260,26 +262,25 @@ def _example1_schedules(h_list, regions) -> list[StepSchedule]:
 
 
 def _train_then_evaluate(args, variants, evaluate):
-    """Train an example1 corrector per ``(output key, config overrides, base
-    method)`` variant, checking every config and h first; then get each h's
-    rows from ``evaluate(h, schedule, correctors)``. Returns the rows, the
-    model files and the settings shared by the variants."""
-    shared = {"points": args.points, "epochs": args.epochs, "seed": args.seed,
-              "dataset_seed": args.seed if args.dataset_seed is None else args.dataset_seed}
-    cfgs = [_train_config({"problem": "example1"}, shared, extra) for _, extra, _ in variants]
+    """Train an example1 corrector per ``(output key, config overrides)``
+    variant, checking every config and h first; then get each h's rows from
+    ``evaluate(h, schedule, correctors)``. Returns the rows, the model files
+    and the settings shared by the variants, as their configs hold them."""
+    keys = ("points", "epochs", "seed", "dataset_seed")
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    cfgs = [_train_config({"problem": "example1"}, flags, extra) for _, extra in variants]
     schedules = _example1_schedules(args.h_list, [_EX1_REGION])
     files, correctors = {}, []
-    for (key, _, method), cfg in zip(variants, cfgs):
-        params, _ = _run_training(cfg)
-        files[key] = (f"{key}.bin", mlp.save_model(params))
-        correctors.append(dem.Corrector.network(params, method.exponent))
+    for (key, _), cfg in zip(variants, cfgs):
+        correctors.append(_run_training(cfg)[0])
+        files[key] = (f"{key}.bin", mlp.save_model(correctors[-1].params))
     rows = [row for h, s in zip(args.h_list, schedules) for row in evaluate(h, s, correctors)]
-    return rows, files, shared
+    return rows, files, {key: cfgs[0][key] for key in keys}
 
 
 def cmd_table1(args) -> int:
     problem = get_problem("example1")
-    variants = [(f"model_{m.corrected}", {"target": m.name}, m) for m in (EULER, HEUN)]
+    variants = [(f"model_{m.corrected}", {"target": m.name}) for m in (EULER, HEUN)]
 
     def evaluate(h, schedule, correctors):
         dem_corr, dhm_corr = correctors
@@ -303,43 +304,39 @@ def _parse_arch(spec: str) -> tuple[int, int]:
         layers, width = (int(v) for v in spec.lower().split("x"))
     except ValueError:
         raise ConfigError(f"archs: expected LAYERSxWIDTH, got {spec!r}") from None
-    if layers < 1 or width < 1:
-        raise ConfigError(f"archs: layers and width must be >= 1, got {spec!r}")
     return layers, width
 
 
 def cmd_table2(args) -> int:
     if args.num_seeds < 1:
         raise ConfigError(f"num_seeds: must be >= 1, got {args.num_seeds}")
-    # Every spec, point count and h is checked before the first training.
+    # Every spec, cell and h is checked before the first training. A cell's
+    # config is that of its first seed; a later seed adds its run to both seeds.
     archs = [(arch, *_parse_arch(arch)) for arch in args.archs]
-    too_few = [points for points in args.points_list if points < 2]
-    if too_few:
-        raise ConfigError(f"points_list: each value must be >= 2, got {too_few[0]}")
+    cells = [(arch, _train_config({"problem": "example1", "points": points, "epochs": args.epochs,
+                                   "hidden_layers": layers, "hidden_width": width,
+                                   "seed": args.seed}))
+             for points in args.points_list for arch, layers, width in archs]
     problem = get_problem("example1")
     regions = [_EX1_REGION, (_EX1_REGION[1], problem.domain[1])]  # train, test
     (schedule,) = _example1_schedules([args.h], regions)
-    cells = len(args.points_list) * len(archs)
 
     rows = []
-    for points in args.points_list:
-        for arch, layers, width in archs:
-            eps = []  # (train, test) region means per seed
-            for run in range(args.num_seeds):
-                cfg = _train_config({"problem": "example1", "points": points,
-                                     "hidden_layers": layers, "hidden_width": width,
-                                     "epochs": args.epochs, "seed": args.seed + run})
-                try:
-                    params, _ = _run_training(cfg)
-                    corrector = dem.Corrector.network(params, EULER.exponent)
-                    eps.append([metrics.eps_mean(corrector, problem, schedule, r) for r in regions])
-                except NumericalError as err:
-                    print(f"warning: cell points={points} arch={arch} run={run} failed: {err}",
-                          file=sys.stderr)
-                    eps.append([np.nan, np.nan])
-            rows.append((points, layers, width, *(float(np.mean(seeds)) for seeds in zip(*eps))))
-            print(f"cell {len(rows)}/{cells}: points={points} arch={arch} "
-                  f"eps_train={rows[-1][3]:.6g} eps_test={rows[-1][4]:.6g}", file=sys.stderr)
+    for arch, cfg in cells:
+        eps = []  # (train, test) region means per seed
+        for run in range(args.num_seeds):
+            try:
+                corrector, _ = _run_training({**cfg, "seed": cfg["seed"] + run,
+                                              "dataset_seed": cfg["dataset_seed"] + run})
+                eps.append([metrics.eps_mean(corrector, problem, schedule, r) for r in regions])
+            except NumericalError as err:
+                print(f"warning: cell points={cfg['points']} arch={arch} run={run} failed: {err}",
+                      file=sys.stderr)
+                eps.append([np.nan, np.nan])
+        rows.append((cfg["points"], cfg["hidden_layers"], cfg["hidden_width"],
+                     *(float(np.mean(seeds)) for seeds in zip(*eps))))
+        print(f"cell {len(rows)}/{len(cells)}: points={cfg['points']} arch={arch} "
+              f"eps_train={rows[-1][3]:.6g} eps_test={rows[-1][4]:.6g}", file=sys.stderr)
 
     table = _csv(["points", "hidden_layers", "hidden_width", "eps_train", "eps_test"], rows)
     manifest = {**_recorded(args, "archs", "points_list", "num_seeds", "epochs", "h"),
@@ -356,7 +353,7 @@ def cmd_table3(args) -> int:
         if name in levels:
             raise ConfigError(f"noise_levels: {levels[name]} and {level} share model name {name}")
         levels[name] = level
-    variants = [(name, {"noise_level": level}, EULER) for name, level in levels.items()]
+    variants = [(name, {"noise_level": level}) for name, level in levels.items()]
 
     def evaluate(h, schedule, correctors):
         return [

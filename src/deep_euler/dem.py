@@ -50,16 +50,11 @@ class Corrector:
         raise ShapeError(f"no base method has order exponent {self.order_exponent}")
 
     @classmethod
-    def network(cls, params: MlpParams, order_exponent: int = 2) -> "Corrector":
+    def network(cls, params: MlpParams, order_exponent: int) -> "Corrector":
         return cls(kind="network", order_exponent=order_exponent, params=params)
 
     @classmethod
-    def oracle(
-        cls,
-        problem: OdeProblem,
-        order_exponent: int = 2,
-        offset: float = 0.0,
-    ) -> "Corrector":
+    def oracle(cls, problem: OdeProblem, order_exponent: int, offset: float = 0.0) -> "Corrector":
         """The true scaled truncation error. ``problem`` must have an exact
         solution, but the oracle keeps nothing of it: a stepper it is bound to
         integrates the local flow of the problem that stepper is bound to."""
@@ -68,7 +63,7 @@ class Corrector:
         return cls(kind="oracle", order_exponent=order_exponent, offset=offset)
 
     @classmethod
-    def zero(cls, order_exponent: int = 2) -> "Corrector":
+    def zero(cls, order_exponent: int) -> "Corrector":
         return cls(kind="zero", order_exponent=order_exponent)
 
 

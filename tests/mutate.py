@@ -65,6 +65,9 @@ MUTANTS = [
            "return alpha ** (params.num_layers - 1)"),
     Mutant("scan_abs", "metrics.py", "bounded &= np.abs(y_next) <= bound",
            "bounded &= y_next <= bound"),
+    Mutant("train_min_points", "cli.py", '_TRAIN_MINIMUMS = {"points": 2,',
+           '_TRAIN_MINIMUMS = {"points": 1,'),
+    Mutant("target_exponent", "cli.py", 'BASE_METHODS[cfg["target"]].exponent', "EULER.exponent"),
 ]
 
 

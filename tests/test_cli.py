@@ -286,13 +286,14 @@ class TestTables:
         assert warnings == ["warning: cell points=10 arch=2x8 run=1 failed: "
                             "gradient contains NaN or infinity"]
 
-    @pytest.mark.parametrize("bad", ["bogus", "2x0"])
-    def test_table2_checks_archs_before_training(self, tmp_path, capsys, monkeypatch, bad):
+    @pytest.mark.parametrize("bad, key", [("bogus", "archs"), ("2x0", "hidden_width")],
+                             ids=["bogus", "2x0"])
+    def test_table2_checks_archs_before_training(self, tmp_path, capsys, monkeypatch, bad, key):
         trainings = count_trainings(monkeypatch)
         assert run("table2", "--out-dir", tmp_path, "--archs", "2x8", bad,
                    "--points-list", 200, "--num-seeds", 3, "--epochs", 3) == 2
         assert trainings == []
-        assert capsys.readouterr().err.startswith("error: archs: ")
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
     @pytest.mark.parametrize("points", [[10, 1], [0, 10], [10, 25, -3]])
     def test_table2_checks_points_before_training(self, tmp_path, capsys, monkeypatch, points):
@@ -300,7 +301,25 @@ class TestTables:
         assert run("table2", "--out-dir", tmp_path, "--archs", "2x8",
                    "--points-list", *points, "--num-seeds", 1, "--epochs", 1) == 2
         assert trainings == []
-        assert capsys.readouterr().err.startswith("error: points_list: ")
+        assert capsys.readouterr().err.startswith("error: points: ")
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [(["--points-list", 10, 1], "points: must be >= 2, got 1"),
+         (["--archs", "2x8", "2x0"], "hidden_width: must be >= 1, got 0"),
+         (["--epochs", 0], "epochs: must be >= 1, got 0"),
+         (["--seed", -1], "seed: must be >= 0, got -1")],
+        ids=["one_point", "zero_width", "zero_epochs", "negative_seed"],
+    )
+    def test_table2_checks_training_settings_before_training(self, tmp_path, capsys,
+                                                              monkeypatch, argv, error):
+        # argparse keeps an option's last value, so each case's flags replace the valid ones.
+        trainings = count_trainings(monkeypatch)
+        out = tmp_path / "t2"
+        assert run("table2", "--out-dir", out, "--archs", "2x8", "--points-list", 10,
+                   "--num-seeds", 2, "--epochs", 1, *argv) == 2
+        assert trainings == [] and not out.exists()
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     @pytest.mark.parametrize("h_list", [[0.1, 20], [0.1, 6], [0.5, -1], [1e-320]])
     def test_table1_checks_h_before_training(self, tmp_path, capsys, monkeypatch, h_list):
