@@ -61,7 +61,7 @@ _TRAIN_KEYS = {
     "min_gap": (dataset.PairPolicy.gap, {"type": float}),
     "hidden_layers": (8, {"type": int}),
     "hidden_width": (80, {"type": int}),
-    "target": (_default(dataset.build_pairs, "base"), {"choices": list(BASE_METHODS)}),
+    "target": (_default(dataset.build_pairs, "method").name, {"choices": list(BASE_METHODS)}),
     "epochs": (50, {"type": int}),
     "learning_rate": (mlp.TrainConfig.learning_rate, {"type": float}),
     "batch_size": (mlp.TrainConfig.batch_size, {"type": int}),
@@ -95,6 +95,11 @@ def _write_artifacts(out_dir, manifest: dict, files: dict, message: str) -> int:
     (out_dir / "manifest.json").write_text(text)
     print(message)
     return 0
+
+
+def _given(args, *keys) -> dict:
+    """The named flags that were given: those whose value is not None."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def _recorded(args, *names) -> dict:
@@ -171,10 +176,11 @@ def _run_training(cfg: dict) -> tuple[dem.Corrector, list[float]]:
     noise, policy, train_cfg = _training_objects(cfg)
     measurements = dataset.sample_measurements(problem, tuple(cfg["interval"]), cfg["points"],
                                                noise, cfg["dataset_seed"])
-    inputs, targets = dataset.build_pairs(problem, measurements, policy, cfg["target"])
+    method = BASE_METHODS[cfg["target"]]
+    inputs, targets = dataset.build_pairs(problem, measurements, policy, method)
     widths = [problem.dim + 2] + [cfg["hidden_width"]] * cfg["hidden_layers"] + [problem.dim]
     params, losses = mlp.train(inputs, targets, widths, train_cfg)
-    return dem.Corrector.network(params, BASE_METHODS[cfg["target"]].exponent), losses
+    return dem.Corrector.network(params, method.exponent), losses
 
 
 def _network_corrector(method, checkpoint) -> dem.Corrector:
@@ -214,8 +220,8 @@ def _method_stepper(name: str, problem, checkpoint, oracle: bool = False):
 
 def cmd_train(args) -> int:
     # Every config key has a flag of the same name, and the flags override the file.
-    flags = {key: getattr(args, key) for key in _TRAIN_KEYS if getattr(args, key) is not None}
-    cfg = _train_config(_load_config_file(args.config) if args.config else {}, flags)
+    cfg = _train_config(_load_config_file(args.config) if args.config else {},
+                        _given(args, *_TRAIN_KEYS))
     corrector, losses = _run_training(cfg)
     params = corrector.params
     loss_csv = _csv(["epoch", "mean_loss"], list(enumerate(losses, 1)))
@@ -245,7 +251,7 @@ def cmd_solve(args) -> int:
         columns.append(np.append(gaps, np.nan)[:, None])  # value at the step's left endpoint
 
     manifest = {**_recorded(args, "problem", "method", "h", "checkpoint"),
-                "interval": list(args.interval) if args.interval else list(problem.domain)}
+                "interval": list(problem.domain)}
     files = {"trajectory": ("trajectory.csv", _csv(header, np.hstack(columns)))}
     return _write_artifacts(args.out_dir, manifest, files, f"solved {args.problem} with "
                             f"{args.method}, {len(trajectory)} mesh points")
@@ -267,8 +273,8 @@ def _train_then_evaluate(args, variants, evaluate):
     ``evaluate(h, schedule, correctors)``. Returns the rows, the model files
     and the settings shared by the variants, as their configs hold them."""
     keys = ("points", "epochs", "seed", "dataset_seed")
-    flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-    cfgs = [_train_config({"problem": "example1"}, flags, extra) for _, extra in variants]
+    cfgs = [_train_config({"problem": "example1"}, _given(args, *keys), extra)
+            for _, extra in variants]
     schedules = _example1_schedules(args.h_list, [_EX1_REGION])
     files, correctors = {}, []
     for (key, _), cfg in zip(variants, cfgs):
@@ -313,9 +319,8 @@ def cmd_table2(args) -> int:
     # Every spec, cell and h is checked before the first training. A cell's
     # config is that of its first seed; a later seed adds its run to both seeds.
     archs = [(arch, *_parse_arch(arch)) for arch in args.archs]
-    cells = [(arch, _train_config({"problem": "example1", "points": points, "epochs": args.epochs,
-                                   "hidden_layers": layers, "hidden_width": width,
-                                   "seed": args.seed}))
+    cells = [(arch, _train_config({"problem": "example1", "points": points, "hidden_layers": layers,
+                                   "hidden_width": width}, _given(args, "epochs", "seed")))
              for points in args.points_list for arch, layers, width in archs]
     problem = get_problem("example1")
     regions = [_EX1_REGION, (_EX1_REGION[1], problem.domain[1])]  # train, test
@@ -339,8 +344,8 @@ def cmd_table2(args) -> int:
               f"eps_train={rows[-1][3]:.6g} eps_test={rows[-1][4]:.6g}", file=sys.stderr)
 
     table = _csv(["points", "hidden_layers", "hidden_width", "eps_train", "eps_test"], rows)
-    manifest = {**_recorded(args, "archs", "points_list", "num_seeds", "epochs", "h"),
-                "base_seed": args.seed}
+    manifest = {**_recorded(args, "archs", "points_list", "num_seeds", "h"),
+                "epochs": cells[0][1]["epochs"], "base_seed": cells[0][1]["seed"]}
     return _write_artifacts(args.out_dir, manifest, {"table": ("table2.csv", table)},
                             f"table2 written to {Path(args.out_dir) / 'table2.csv'}")
 
@@ -410,11 +415,6 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _ex1_default(key: str) -> tuple[str, dict]:
-    """Training key ``key``'s flag with its example1 default, as the tables take it."""
-    return _flag(key), {"default": _PROBLEM_DEFAULTS["example1"].get(key, _TRAIN_KEYS[key][0])}
-
-
 # Options that several subcommands take, each declared once: dem train's keys
 # (among them --problem, --points, --seed, --dataset-seed, --epochs) and these.
 _OPTIONS = {
@@ -438,20 +438,20 @@ _COMMANDS = {
         "--interval", "--checkpoint", "--out-dir",
     ]),
     "table1": ("method comparison across step sizes", [
-        "--out-dir", _ex1_default("seed"), "--dataset-seed", _ex1_default("epochs"),
-        _ex1_default("points"), ("--h-list", {"default": [0.01, 0.1, 1.0, 2.0]}),
+        "--out-dir", "--seed", "--dataset-seed", "--epochs", "--points",
+        ("--h-list", {"default": [0.01, 0.1, 1.0, 2.0]}),
     ]),
     "table2": ("architecture / data-size sweep", [
         "--out-dir", ("--archs", {"nargs": "+", "default": ["2x20", "4x40", "8x80", "16x160"]}),
         ("--points-list", {"type": int, "nargs": "+", "default": [10, 25, 50, 100, 200, 500]}),
-        ("--num-seeds", {"type": int, "default": 10}), _ex1_default("seed"),
-        _ex1_default("epochs"), ("--h", {"type": float, "default": 0.1}),
+        ("--num-seeds", {"type": int, "default": 10}), "--seed", "--epochs",
+        ("--h", {"type": float, "default": 0.1}),
     ]),
     "table3": ("noise-level sweep", [
         "--out-dir",
         ("--noise-levels", {"type": float, "nargs": "+", "default": [0.0, 0.01, 0.05, 0.10]}),
-        ("--h-list", {"default": [0.01, 0.1, 0.5, 1.0, 2.0]}), _ex1_default("points"),
-        _ex1_default("epochs"), _ex1_default("seed"), "--dataset-seed",
+        ("--h-list", {"default": [0.01, 0.1, 0.5, 1.0, 2.0]}), "--points", "--epochs", "--seed",
+        "--dataset-seed",
     ]),
     "convergence": ("measured convergence order", [
         ("--problem", _REQUIRED), ("--method", _REQUIRED), ("--h-list", _REQUIRED), "--checkpoint",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dem import corrector_input
 from .errors import ConfigError, ShapeError
-from .ode import BASE_METHODS, OdeProblem, evaluate_truth, scaled_defect
+from .ode import EULER, BaseMethod, OdeProblem, evaluate_truth, scaled_defect
 
 
 @dataclass(frozen=True)
@@ -74,16 +74,13 @@ def build_pairs(
     problem: OdeProblem,
     measurements: tuple[np.ndarray, np.ndarray],
     policy: PairPolicy,
-    base: str = "euler",
+    method: BaseMethod = EULER,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All pairs with x_i < x_j passing the policy, as (inputs, targets):
     inputs rows (x_i, x_j, z_i) of shape (B, n+2), written by
-    ``dem.corrector_input``, targets the scaled defect of the ``base`` method,
+    ``dem.corrector_input``, targets the scaled defect of base ``method``,
     of shape (B, n). ``measurements`` is (xs, zs) of shapes (count,) and
     (count, n), in any order."""
-    method = BASE_METHODS.get(base)
-    if method is None:
-        raise ConfigError(f"target: unknown base method {base!r}")
     xs, zs = (np.asarray(a, dtype=np.float64) for a in measurements)
     if xs.ndim != 1 or zs.shape != (len(xs), problem.dim):
         raise ShapeError(f"measurements: xs {xs.shape}, zs {zs.shape} do not fit dim {problem.dim}")
@@ -102,7 +99,8 @@ def build_pairs(
     finite = np.isfinite(targets).all(axis=0)
     if not finite.all():  # a gap so small that dx^(p+1) underflows, or the defect overflows
         gap = np.min((x_j - x_i)[~finite])
-        raise ConfigError(f"min_gap: the {base} target of a pair {gap:.3g} apart is not finite")
+        raise ConfigError(
+            f"min_gap: the {method.name} target of a pair {gap:.3g} apart is not finite")
     inputs = corrector_input(x_i, x_j, z_i, np.empty((len(x_i), problem.dim + 2)))
     return inputs, np.ascontiguousarray(targets.T)
 

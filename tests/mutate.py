@@ -67,7 +67,9 @@ MUTANTS = [
            "bounded &= y_next <= bound"),
     Mutant("train_min_points", "cli.py", '_TRAIN_MINIMUMS = {"points": 2,',
            '_TRAIN_MINIMUMS = {"points": 1,'),
-    Mutant("target_exponent", "cli.py", 'BASE_METHODS[cfg["target"]].exponent', "EULER.exponent"),
+    Mutant("target_exponent", "cli.py", 'method = BASE_METHODS[cfg["target"]]', "method = EULER"),
+    Mutant("target_pairs", "cli.py", "build_pairs(problem, measurements, policy, method)",
+           "build_pairs(problem, measurements, policy)"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deep_euler import cli
+from deep_euler import cli, dataset, mlp
 from deep_euler.cli import main
 from deep_euler.errors import DeepEulerError, NumericalError
+from deep_euler.ode import HEUN, get_problem
 
 
 def run(*argv):
@@ -158,6 +160,31 @@ class TestTrain:
         for name in ("model.bin", "loss.csv", "manifest.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
         assert read_manifest(outs[0])["config"]["seed"] == 0
+
+    def test_heun_target_trains_on_heun_pairs(self, tmp_path):
+        models = {}
+        for target in ("euler", "heun"):
+            out = tmp_path / target
+            assert run("train", "--problem", "example1", "--points", 20, "--epochs", 1,
+                       "--hidden-layers", 2, "--hidden-width", 8, "--target", target,
+                       "--out-dir", out) == 0
+            models[target] = (out / "model.bin").read_bytes()
+        problem = get_problem("example1")
+        measurements = dataset.sample_measurements(problem, (0.0, 5.0), 20, dataset.NoiseSpec(), 0)
+        pairs = dataset.build_pairs(problem, measurements, dataset.PairPolicy(), HEUN)
+        params, _ = mlp.train(*pairs, [3, 8, 8, 1], mlp.TrainConfig(epochs=1, seed=0))
+        assert models["heun"] == mlp.save_model(params)
+        assert models["heun"] != models["euler"]
+
+
+def test_every_training_flag_defaults_to_none():
+    # A training flag left out is filled in by _train_config, in every subcommand.
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    defaults = {(name, action.dest): action.default for name, parser in commands.items()
+                for action in parser._actions if action.dest in cli._TRAIN_KEYS}
+    assert {("table2", "epochs"), ("table3", "points"), ("table1", "seed")} <= set(defaults)
+    assert {key: value for key, value in defaults.items() if value is not None} == {}
 
 
 class TestSolve:

@@ -91,7 +91,7 @@ def test_a_new_base_method_is_one_row(monkeypatch, problems):
     assert max_abs_error(solve_fixed(ex1, schedule, oracle), ex1.exact) < 1e-9
     assert max_abs_error(solve_fixed(ex1, schedule, rk4.step), ex1.exact) > 1e-3
     measurements = sample_measurements(ex1, (0.0, 5.0), 20, NoiseSpec(), seed=0)
-    _, targets = build_pairs(ex1, measurements, PairPolicy.all_pairs(), "rk4")
+    _, targets = build_pairs(ex1, measurements, PairPolicy.all_pairs(), rk4)
     assert targets.shape == (190, 1) and np.isfinite(targets).all()
     eps = eps_mean(Corrector.network(init((3, 8, 1), seed=0), 5), ex1, schedule)
     assert math.isfinite(eps)
