@@ -1,9 +1,8 @@
 """Command-line front end.
 
-Every subcommand writes deterministic CSV artifacts plus a manifest.json
-that records the run's configuration, so repeating a command with the same
-manifest, numpy/BLAS build and BLAS thread count reproduces its outputs byte
-for byte.
+Every subcommand writes deterministic CSV artifacts plus a manifest.json that records
+the run's configuration, so repeating a command with the same manifest, numpy/BLAS
+build and BLAS thread count reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 2 configuration error (ConfigError; a size too large
 to allocate among them), 3 dimension/shape error (ShapeError), 4 numerical
@@ -25,9 +24,8 @@ import numpy as np
 from . import __version__
 from . import dataset, dem, metrics, mlp
 from .errors import ConfigError, DeepEulerError, NumericalError
-from .ode import (
-    BASE_METHODS, EULER, HEUN, StepSchedule, evaluate_truth, get_problem, restrict, solve_fixed,
-)
+from .ode import (BASE_METHODS, EULER, HEUN, StepSchedule, evaluate_truth, get_problem, restrict,
+                  solve_fixed)
 
 # Every --method name: the base methods, then their corrected forms.
 _METHODS = {**BASE_METHODS, **{m.corrected: m for m in BASE_METHODS.values()}}
@@ -183,6 +181,20 @@ def _run_training(cfg: dict) -> tuple[dem.Corrector, list[float]]:
     return dem.Corrector.network(params, method.exponent), losses
 
 
+def _train_each(cfgs, labels, keep_going=False):
+    """Yield each validated config's trained corrector, or None for a failure under keep_going."""
+    for i, (cfg, label) in enumerate(zip(cfgs, labels), 1):
+        try:
+            corrector = _run_training(cfg)[0]
+        except NumericalError as err:
+            if not keep_going:
+                raise
+            print(f"warning: {label} failed: {err}", file=sys.stderr)
+            corrector = None
+        print(f"training {i}/{len(cfgs)} done: {label}", file=sys.stderr)
+        yield corrector
+
+
 def _network_corrector(method, checkpoint) -> dem.Corrector:
     """The network in ``checkpoint``, scaled for the corrected form of ``method``."""
     if checkpoint is None:
@@ -201,8 +213,7 @@ def _unread_checkpoint(checkpoint, reason: str) -> None:
 
 
 def _method_stepper(name: str, problem, checkpoint, oracle: bool = False):
-    """The stepper that --method ``name`` selects, and its corrector (None for
-    a base method)."""
+    """The stepper that --method ``name`` selects, and its corrector (None for a base method)."""
     method = _METHODS[name]
     if name == method.name:
         if oracle:
@@ -268,25 +279,21 @@ def _example1_schedules(h_list, regions) -> list[StepSchedule]:
 
 
 def _train_then_evaluate(args, variants, evaluate):
-    """Train an example1 corrector per ``(output key, config overrides)``
-    variant, checking every config and h first; then get each h's rows from
-    ``evaluate(h, schedule, correctors)``. Returns the rows, the model files
-    and the settings shared by the variants, as their configs hold them."""
+    """Train an example1 corrector per variant (output key -> config overrides) after checking
+    every config and h; returns evaluate's rows for each h, the model files and shared settings."""
     keys = ("points", "epochs", "seed", "dataset_seed")
     cfgs = [_train_config({"problem": "example1"}, _given(args, *keys), extra)
-            for _, extra in variants]
+            for extra in variants.values()]
     schedules = _example1_schedules(args.h_list, [_EX1_REGION])
-    files, correctors = {}, []
-    for (key, _), cfg in zip(variants, cfgs):
-        correctors.append(_run_training(cfg)[0])
-        files[key] = (f"{key}.bin", mlp.save_model(correctors[-1].params))
+    correctors = list(_train_each(cfgs, list(variants)))
+    files = {key: (f"{key}.bin", mlp.save_model(c.params)) for key, c in zip(variants, correctors)}
     rows = [row for h, s in zip(args.h_list, schedules) for row in evaluate(h, s, correctors)]
     return rows, files, {key: cfgs[0][key] for key in keys}
 
 
 def cmd_table1(args) -> int:
     problem = get_problem("example1")
-    variants = [(f"model_{m.corrected}", {"target": m.name}) for m in (EULER, HEUN)]
+    variants = {f"model_{m.corrected}": {"target": m.name} for m in (EULER, HEUN)}
 
     def evaluate(h, schedule, correctors):
         dem_corr, dhm_corr = correctors
@@ -316,8 +323,7 @@ def _parse_arch(spec: str) -> tuple[int, int]:
 def cmd_table2(args) -> int:
     if args.num_seeds < 1:
         raise ConfigError(f"num_seeds: must be >= 1, got {args.num_seeds}")
-    # Every spec, cell and h is checked before the first training. A cell's
-    # config is that of its first seed; a later seed adds its run to both seeds.
+    # Every spec, cell and h is checked before the first training, a cell at its first seed.
     archs = [(arch, *_parse_arch(arch)) for arch in args.archs]
     cells = [(arch, _train_config({"problem": "example1", "points": points, "hidden_layers": layers,
                                    "hidden_width": width}, _given(args, "epochs", "seed")))
@@ -326,18 +332,14 @@ def cmd_table2(args) -> int:
     regions = [_EX1_REGION, (_EX1_REGION[1], problem.domain[1])]  # train, test
     (schedule,) = _example1_schedules([args.h], regions)
 
+    runs = [({**cfg, "seed": cfg["seed"] + run, "dataset_seed": cfg["dataset_seed"] + run},
+             f"cell points={cfg['points']} arch={arch} run={run}")
+            for arch, cfg in cells for run in range(args.num_seeds)]
+    trained = _train_each(*zip(*runs), keep_going=True)
     rows = []
     for arch, cfg in cells:
-        eps = []  # (train, test) region means per seed
-        for run in range(args.num_seeds):
-            try:
-                corrector, _ = _run_training({**cfg, "seed": cfg["seed"] + run,
-                                              "dataset_seed": cfg["dataset_seed"] + run})
-                eps.append([metrics.eps_mean(corrector, problem, schedule, r) for r in regions])
-            except NumericalError as err:
-                print(f"warning: cell points={cfg['points']} arch={arch} run={run} failed: {err}",
-                      file=sys.stderr)
-                eps.append([np.nan, np.nan])
+        eps = [[np.nan if c is None else metrics.eps_mean(c, problem, schedule, r) for r in regions]
+               for c in [next(trained) for _ in range(args.num_seeds)]]
         rows.append((cfg["points"], cfg["hidden_layers"], cfg["hidden_width"],
                      *(float(np.mean(seeds)) for seeds in zip(*eps))))
         print(f"cell {len(rows)}/{len(cells)}: points={cfg['points']} arch={arch} "
@@ -358,14 +360,12 @@ def cmd_table3(args) -> int:
         if name in levels:
             raise ConfigError(f"noise_levels: {levels[name]} and {level} share model name {name}")
         levels[name] = level
-    variants = [(name, {"noise_level": level}) for name, level in levels.items()]
+    variants = {name: {"noise_level": level} for name, level in levels.items()}
 
     def evaluate(h, schedule, correctors):
-        return [
-            (h, level, metrics.eps_mean(corrector, problem, schedule, region=_EX1_REGION),
-             metrics.max_abs_error(dem.solve_dem(problem, corrector, schedule), problem.exact))
-            for level, corrector in zip(args.noise_levels, correctors)
-        ]
+        return [(h, level, metrics.eps_mean(corrector, problem, schedule, region=_EX1_REGION),
+                 metrics.max_abs_error(dem.solve_dem(problem, corrector, schedule), problem.exact))
+                for level, corrector in zip(args.noise_levels, correctors)]
 
     rows, models, shared = _train_then_evaluate(args, variants, evaluate)
     manifest = {**_recorded(args, "noise_levels", "h_list"), **shared}
@@ -421,7 +421,6 @@ _OPTIONS = {
     **{_flag(key): spec for key, (_, spec) in _TRAIN_KEYS.items()},
     "--out-dir": {"default": "."},
     "--method": {"choices": list(_METHODS)},
-    "--checkpoint": {},
     "--h-list": {"type": float, "nargs": "+"},
 }
 _REQUIRED = {"required": True}

@@ -70,6 +70,9 @@ MUTANTS = [
     Mutant("target_exponent", "cli.py", 'method = BASE_METHODS[cfg["target"]]', "method = EULER"),
     Mutant("target_pairs", "cli.py", "build_pairs(problem, measurements, policy, method)",
            "build_pairs(problem, measurements, policy)"),
+    Mutant("keep_going_default", "cli.py", "def _train_each(cfgs, labels, keep_going=False):",
+           "def _train_each(cfgs, labels, keep_going=True):"),
+    Mutant("failed_run_nan", "cli.py", "[np.nan if c is None else", "[0.0 if c is None else"),
 ]
 
 

@@ -55,6 +55,21 @@ def count_trainings(monkeypatch):
     return trainings
 
 
+def fail_training(monkeypatch, failing):
+    """Let each training run and record its config, except that the ``failing``-th
+    (counted from 1; 0 for none) raises a NumericalError."""
+    real, trainings = cli._run_training, []
+
+    def train_or_fail(cfg):
+        trainings.append(cfg)
+        if len(trainings) == failing:
+            raise NumericalError("gradient contains NaN or infinity")
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "_run_training", train_or_fail)
+    return trainings
+
+
 @pytest.fixture(scope="module")
 def tiny_model(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny_model")
@@ -312,6 +327,43 @@ class TestTables:
                     if line.startswith("warning: ")]
         assert warnings == ["warning: cell points=10 arch=2x8 run=1 failed: "
                             "gradient contains NaN or infinity"]
+
+    @pytest.mark.parametrize("command, first", [("table1", "model_dem"),
+                                                ("table3", "model_noise_0")])
+    def test_numerical_error_ends_the_table(self, tmp_path, capsys, monkeypatch, command, first):
+        trainings = fail_training(monkeypatch, 2)
+        out = tmp_path / command
+        assert run(*TINY_RUNS[command], "--out-dir", out) == 4
+        assert len(trainings) == 2 and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"training 1/2 done: {first}",
+                                             "error: gradient contains NaN or infinity"]
+
+    @pytest.mark.parametrize("command, labels, key, values", [
+        ("table1", ["model_dem", "model_dhm"], "target", ["euler", "heun"]),
+        ("table2", [f"cell points={p} arch=2x8 run={r}" for p in (10, 25) for r in (0, 1)],
+         "seed", [0, 1, 0, 1]),
+        ("table3", ["model_noise_0", "model_noise_0p05"], "noise_level", [0.0, 0.05]),
+    ], ids=["table1", "table2", "table3"])
+    def test_one_progress_line_per_training(self, tmp_path, capsys, monkeypatch,
+                                            command, labels, key, values):
+        # table2 keeps going past a failed training (its second), which gets a line too.
+        trainings = fail_training(monkeypatch, 2 if command == "table2" else 0)
+        out = tmp_path / command
+        assert run(*TINY_RUNS[command], "--out-dir", out) == 0
+        assert [cfg[key] for cfg in trainings] == values
+        captured = capsys.readouterr()
+        assert captured.out == f"{command} written to {out / (command + '.csv')}\n"
+        done = [f"training {i}/{len(labels)} done: {label}" for i, label in enumerate(labels, 1)]
+        if command == "table2":
+            _, rows = read_csv(out / "table2.csv")
+            assert np.isnan(rows[0, 3:]).all() and np.isfinite(rows[1, 3:]).all()
+            cells = [f"cell {i + 1}/2: points={int(row[0])} arch=2x8 "
+                     f"eps_train={row[3]:.6g} eps_test={row[4]:.6g}" for i, row in enumerate(rows)]
+            warning = f"warning: {labels[1]} failed: gradient contains NaN or infinity"
+            done = [done[0], warning, done[1], cells[0], done[2], done[3], cells[1]]
+        assert captured.err.splitlines() == done
 
     @pytest.mark.parametrize("bad, key", [("bogus", "archs"), ("2x0", "hidden_width")],
                              ids=["bogus", "2x0"])
