@@ -37,7 +37,8 @@ _PROBLEM_DEFAULTS = {
     "kepler": {"points": 1000, "interval": [0.0, 15.0]},
 }
 # The tables train on example1 and take eps_mean over its training region.
-_EX1_REGION = tuple(_PROBLEM_DEFAULTS["example1"]["interval"])
+_EX1 = get_problem("example1")
+_EX1_REGION = tuple(_PROBLEM_DEFAULTS[_EX1.name]["interval"])
 
 # The default of a key with none of its own, which _train_config fills in or refuses.
 _UNSET = object()
@@ -270,11 +271,10 @@ def cmd_solve(args) -> int:
 
 def _example1_schedules(h_list, regions) -> list[StepSchedule]:
     """example1's uniform schedule for each h, checked to end a mesh step in every region."""
-    domain = get_problem("example1").domain
     schedules = [StepSchedule.uniform(h) for h in h_list]
     for schedule in schedules:
         for region in regions:
-            metrics.region_mask(schedule.mesh(*domain)[1:], region)
+            metrics.region_mask(schedule.mesh(*_EX1.domain)[1:], region)
     return schedules
 
 
@@ -282,7 +282,7 @@ def _train_then_evaluate(args, variants, evaluate):
     """Train an example1 corrector per variant (output key -> config overrides) after checking
     every config and h; returns evaluate's rows for each h, the model files and shared settings."""
     keys = ("points", "epochs", "seed", "dataset_seed")
-    cfgs = [_train_config({"problem": "example1"}, _given(args, *keys), extra)
+    cfgs = [_train_config({"problem": _EX1.name}, _given(args, *keys), extra)
             for extra in variants.values()]
     schedules = _example1_schedules(args.h_list, [_EX1_REGION])
     correctors = list(_train_each(cfgs, list(variants)))
@@ -292,21 +292,20 @@ def _train_then_evaluate(args, variants, evaluate):
 
 
 def cmd_table1(args) -> int:
-    problem = get_problem("example1")
     variants = {f"model_{m.corrected}": {"target": m.name} for m in (EULER, HEUN)}
 
     def evaluate(h, schedule, correctors):
         dem_corr, dhm_corr = correctors
-        e_euler = metrics.max_abs_error(solve_fixed(problem, schedule, EULER.step), problem.exact)
-        e_heun = metrics.max_abs_error(solve_fixed(problem, schedule, HEUN.step), problem.exact)
-        e_dem = metrics.max_abs_error(dem.solve_dem(problem, dem_corr, schedule), problem.exact)
-        e_dhm = metrics.max_abs_error(dem.solve_dhm(problem, dhm_corr, schedule), problem.exact)
-        eps = metrics.eps_mean(dem_corr, problem, schedule, region=_EX1_REGION)
+        e_euler = metrics.max_abs_error(solve_fixed(_EX1, schedule, EULER.step), _EX1.exact)
+        e_heun = metrics.max_abs_error(solve_fixed(_EX1, schedule, HEUN.step), _EX1.exact)
+        e_dem = metrics.max_abs_error(dem.solve_dem(_EX1, dem_corr, schedule), _EX1.exact)
+        e_dhm = metrics.max_abs_error(dem.solve_dhm(_EX1, dhm_corr, schedule), _EX1.exact)
+        eps = metrics.eps_mean(dem_corr, _EX1, schedule, region=_EX1_REGION)
         return [(h, e_euler, e_heun, e_dem, e_dhm, eps, e_dem / e_euler)]
 
     rows, models, shared = _train_then_evaluate(args, variants, evaluate)
     table = _csv(["h", "euler", "heun", "dem", "dhm", "eps_mean", "ratio_dem_euler"], rows)
-    manifest = {**_recorded(args, "h_list"), "config": {"problem": "example1", **shared},
+    manifest = {**_recorded(args, "h_list"), "config": {"problem": _EX1.name, **shared},
                 "eps_region": list(_EX1_REGION)}
     return _write_artifacts(args.out_dir, manifest, {"table": ("table1.csv", table), **models},
                             f"table1 written to {Path(args.out_dir) / 'table1.csv'}")
@@ -325,11 +324,10 @@ def cmd_table2(args) -> int:
         raise ConfigError(f"num_seeds: must be >= 1, got {args.num_seeds}")
     # Every spec, cell and h is checked before the first training, a cell at its first seed.
     archs = [(arch, *_parse_arch(arch)) for arch in args.archs]
-    cells = [(arch, _train_config({"problem": "example1", "points": points, "hidden_layers": layers,
+    cells = [(arch, _train_config({"problem": _EX1.name, "points": points, "hidden_layers": layers,
                                    "hidden_width": width}, _given(args, "epochs", "seed")))
              for points in args.points_list for arch, layers, width in archs]
-    problem = get_problem("example1")
-    regions = [_EX1_REGION, (_EX1_REGION[1], problem.domain[1])]  # train, test
+    regions = [_EX1_REGION, (_EX1_REGION[1], _EX1.domain[1])]  # train, test
     (schedule,) = _example1_schedules([args.h], regions)
 
     runs = [({**cfg, "seed": cfg["seed"] + run, "dataset_seed": cfg["dataset_seed"] + run},
@@ -338,7 +336,7 @@ def cmd_table2(args) -> int:
     trained = _train_each(*zip(*runs), keep_going=True)
     rows = []
     for arch, cfg in cells:
-        eps = [[np.nan if c is None else metrics.eps_mean(c, problem, schedule, r) for r in regions]
+        eps = [[np.nan if c is None else metrics.eps_mean(c, _EX1, schedule, r) for r in regions]
                for c in [next(trained) for _ in range(args.num_seeds)]]
         rows.append((cfg["points"], cfg["hidden_layers"], cfg["hidden_width"],
                      *(float(np.mean(seeds)) for seeds in zip(*eps))))
@@ -353,7 +351,6 @@ def cmd_table2(args) -> int:
 
 
 def cmd_table3(args) -> int:
-    problem = get_problem("example1")
     levels = {}  # model name -> noise level; two levels may not share a name
     for level in args.noise_levels:
         name = "model_noise_" + format(level + 0.0, "g").replace(".", "p")  # -0.0 names level 0
@@ -363,8 +360,8 @@ def cmd_table3(args) -> int:
     variants = {name: {"noise_level": level} for name, level in levels.items()}
 
     def evaluate(h, schedule, correctors):
-        return [(h, level, metrics.eps_mean(corrector, problem, schedule, region=_EX1_REGION),
-                 metrics.max_abs_error(dem.solve_dem(problem, corrector, schedule), problem.exact))
+        return [(h, level, metrics.eps_mean(corrector, _EX1, schedule, region=_EX1_REGION),
+                 metrics.max_abs_error(dem.solve_dem(_EX1, corrector, schedule), _EX1.exact))
                 for level, corrector in zip(args.noise_levels, correctors)]
 
     rows, models, shared = _train_then_evaluate(args, variants, evaluate)

@@ -70,17 +70,26 @@ def sample_measurements(
     return xs, zs
 
 
+def residual_pairs(problem: OdeProblem, method: BaseMethod, x_i, z_i, x_j, z_j):
+    """The one definition of a pair: the step from (x_i, z_i) to (x_j, z_j) as
+    (inputs, targets). Abscissae (B,) and states (B, n); inputs rows
+    (x_i, x_j, z_i) of shape (B, n+2), written by ``dem.corrector_input``, and
+    targets the scaled defect of base ``method`` (``ode.scaled_defect``), of
+    shape (B, n) and C-contiguous. Training fits the network to these targets,
+    and eps compares it with them along the truth (``metrics.eps_series``)."""
+    inputs = corrector_input(x_i, x_j, z_i, np.empty((len(x_i), problem.dim + 2)))
+    targets = scaled_defect(method, problem, x_i, z_i.T, x_j, z_j.T)
+    return inputs, np.ascontiguousarray(targets.T)
+
+
 def build_pairs(
     problem: OdeProblem,
     measurements: tuple[np.ndarray, np.ndarray],
     policy: PairPolicy,
     method: BaseMethod = EULER,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All pairs with x_i < x_j passing the policy, as (inputs, targets):
-    inputs rows (x_i, x_j, z_i) of shape (B, n+2), written by
-    ``dem.corrector_input``, targets the scaled defect of base ``method``,
-    of shape (B, n). ``measurements`` is (xs, zs) of shapes (count,) and
-    (count, n), in any order."""
+    """The ``residual_pairs`` of all measurements x_i < x_j passing the policy.
+    ``measurements`` is (xs, zs) of shapes (count,) and (count, n), in any order."""
     xs, zs = (np.asarray(a, dtype=np.float64) for a in measurements)
     if xs.ndim != 1 or zs.shape != (len(xs), problem.dim):
         raise ShapeError(f"measurements: xs {xs.shape}, zs {zs.shape} do not fit dim {problem.dim}")
@@ -94,15 +103,13 @@ def build_pairs(
     idx_i, idx_j = idx_i[keep], idx_j[keep]
     if len(idx_i) == 0:
         raise ConfigError("pair policy eliminated every pair")
-    x_i, z_i, x_j = xs[idx_i], zs[idx_i], xs[idx_j]
-    targets = scaled_defect(method, problem, x_i, z_i.T, x_j, zs[idx_j].T)
-    finite = np.isfinite(targets).all(axis=0)
+    inputs, targets = residual_pairs(problem, method, xs[idx_i], zs[idx_i], xs[idx_j], zs[idx_j])
+    finite = np.isfinite(targets).all(axis=1)
     if not finite.all():  # a gap so small that dx^(p+1) underflows, or the defect overflows
-        gap = np.min((x_j - x_i)[~finite])
+        gap = np.min((inputs[:, 1] - inputs[:, 0])[~finite])
         raise ConfigError(
             f"min_gap: the {method.name} target of a pair {gap:.3g} apart is not finite")
-    inputs = corrector_input(x_i, x_j, z_i, np.empty((len(x_i), problem.dim + 2)))
-    return inputs, np.ascontiguousarray(targets.T)
+    return inputs, targets
 
 
 def stack_samples(pairs: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

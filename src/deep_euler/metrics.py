@@ -8,6 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dataset import residual_pairs
 from .dem import Corrector, checked_network, corrector_input
 from .mlp import bind_layers, forward_batch, forward_into
 from .ode import (
@@ -18,7 +19,6 @@ from .ode import (
     Trajectory,
     _closed_form,
     evaluate_truth,
-    scaled_defect,
     solve_fixed,
 )
 
@@ -57,9 +57,10 @@ def eps_series(
     """Per-step |network - residual| along the ground-truth trajectory.
 
     Returns (right endpoints x_{m+1}, component-sum gaps). The residual is the
-    scaled defect of the base method whose exponent is the corrector's
-    (2 -> Euler, 3 -> Heun) between ground-truth states, not the corrected
-    trajectory. The network must fit that method and the problem.
+    training target, ``dataset.residual_pairs``, of the base method whose
+    exponent is the corrector's (2 -> Euler, 3 -> Heun) between consecutive
+    ground-truth states, not the corrected trajectory. The network must fit
+    that method and the problem.
     """
     if corrector.kind != "network":
         raise ValueError("eps diagnostics are defined for network correctors")
@@ -67,10 +68,8 @@ def eps_series(
     params = checked_network(method, corrector, problem.dim)
     xs = schedule.mesh(*problem.domain)
     truth = evaluate_truth(problem, xs)
-    inputs = corrector_input(xs[:-1], xs[1:], truth[:-1], np.empty((len(xs) - 1, problem.dim + 2)))
-    n_vals = forward_batch(params, inputs)
-    r_vals = scaled_defect(method, problem, xs[:-1], truth[:-1].T, xs[1:], truth[1:].T)
-    return xs[1:], np.sum(np.abs(n_vals - r_vals.T), axis=1)
+    inputs, targets = residual_pairs(problem, method, xs[:-1], truth[:-1], xs[1:], truth[1:])
+    return xs[1:], np.abs(forward_batch(params, inputs) - targets).sum(axis=1)
 
 
 def eps_mean(
@@ -154,7 +153,7 @@ def stability_scan(
     params = checked_network(EULER, corrector, 1)  # None for the zero corrector
     h, y, bounded = np.array(hs), np.ones(len(hs)), np.ones(len(hs), dtype=bool)
     if params is not None:
-        inputs = np.empty((len(hs), 3))  # (x, x + h, y) per h
+        inputs = np.empty((len(hs), params.layer_widths[0]))  # (x, x + h, y) per h
         layers = tuple(bind_layers(params, [np.empty((len(hs), w))
                                             for w in params.layer_widths[1:]]))
     with np.errstate(**_QUIET):

@@ -50,6 +50,8 @@ MUTANTS = [
            "1.0 - _BETA2**(state.step_count + 1)"),
     Mutant("flush_floor", "mlp.py", "_FLUSH_FLOOR = 1e-150", "_FLUSH_FLOOR = 1e-4"),
     Mutant("pair_gap", "dataset.py", "(gaps >= policy.gap)", "(gaps > policy.gap)"),
+    Mutant("pair_input_end_state", "dataset.py", "corrector_input(x_i, x_j, z_i,",
+           "corrector_input(x_i, x_j, z_j,"),
     Mutant("stable_sort", "dataset.py", 'np.argsort(xs, kind="stable")',
            'np.argsort(xs, kind="quicksort")'),
     Mutant("region_lo_open", "metrics.py", "(ends > lo) & (ends <= hi)",

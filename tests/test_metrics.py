@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deep_euler import metrics
+from deep_euler.dataset import PairPolicy, build_pairs
 from deep_euler.dem import Corrector, make_corrected_stepper
 from deep_euler.errors import NonFiniteState, ShapeError
 from deep_euler.metrics import (
@@ -21,6 +22,7 @@ from deep_euler.metrics import (
 from deep_euler.mlp import MlpParams, clip_weights, forward_batch, init, lipschitz_bound
 from deep_euler.ode import (
     EULER,
+    HEUN,
     OdeProblem,
     StepSchedule,
     Trajectory,
@@ -143,6 +145,25 @@ class TestEpsMean:
     def test_requires_network_corrector(self, exp_problem):
         with pytest.raises(ValueError):
             eps_mean(Corrector.zero(2), exp_problem, StepSchedule.uniform(0.1))
+
+    @pytest.mark.parametrize("method", [EULER, HEUN], ids=["euler", "heun"])
+    @pytest.mark.parametrize("name", ["example1", "kepler"])
+    def test_eps_is_the_gap_to_the_training_residual(self, problems, name, method):
+        # eps compares the network with the very pairs it trains on: those of
+        # consecutive mesh points, among all the pairs build_pairs forms of the truth.
+        prob = problems[name]
+        params = init([prob.dim + 2, 8, 8, prob.dim], seed=3)
+        schedule = StepSchedule.uniform(0.5)
+        xs = schedule.mesh(*prob.domain)
+        inputs, targets = build_pairs(prob, (xs, evaluate_truth(prob, xs)),
+                                      PairPolicy.all_pairs(), method)
+        i, j = np.triu_indices(len(xs), k=1)
+        assert len(inputs) == len(i)
+        consecutive = j == i + 1
+        gaps = np.abs(forward_batch(params, inputs[consecutive]) - targets[consecutive]).sum(axis=1)
+        ends, eps = eps_series(Corrector.network(params, method.exponent), prob, schedule)
+        assert np.array_equal(ends, xs[1:])
+        assert eps.tobytes() == gaps.tobytes()
 
     @pytest.mark.parametrize("name, widths", [("kepler", [6, 4, 1]), ("example1", [3, 4])])
     def test_network_that_misfits_the_problem_rejected(self, problems, name, widths):
