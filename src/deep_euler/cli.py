@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Every subcommand writes deterministic CSV artifacts plus a manifest.json that records
-the run's configuration, so repeating a command with the same manifest, numpy/BLAS
-build and BLAS thread count reproduces its outputs byte for byte.
+Every subcommand writes deterministic CSV artifacts plus a manifest.json that records its
+command and every option it declares except --out-dir; a run that trains records `config`, the
+checked values of its problem and training options, in place of those options. Repeating a
+command with the options its manifest records, numpy/BLAS build and BLAS thread count
+reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 2 configuration error (ConfigError; a size too large
 to allocate among them), 3 dimension/shape error (ShapeError), 4 numerical
@@ -49,9 +51,9 @@ def _default(function, name: str):
     return inspect.signature(function).parameters[name].default
 
 
-# dem train's keys, each both a flag and a config-file key, in --help order:
-# key -> (default, argparse keywords). The keywords also type the config
-# file's values: a choice is a string, and an interval a [lo, hi] pair.
+# dem train's keys, each both a flag and a config-file key, in --help order: key -> (default,
+# argparse keywords). The keywords also type the config file's values: a choice is a string,
+# an interval a [lo, hi] pair. A checked value is stored as its key's type: a file's 0 as 0.0.
 _TRAIN_KEYS = {
     "problem": (_UNSET, {"choices": sorted(_PROBLEM_DEFAULTS)}),
     "points": (_UNSET, {"type": int}),
@@ -96,22 +98,27 @@ def _write_artifacts(out_dir, manifest: dict, files: dict, message: str) -> int:
     return 0
 
 
-def _given(args, *keys) -> dict:
-    """The named flags that were given: those whose value is not None."""
-    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+def _given(args) -> dict:
+    """The training options that were given: those of _TRAIN_KEYS whose value is not None."""
+    return {key: getattr(args, key) for key in _TRAIN_KEYS if getattr(args, key, None) is not None}
 
 
-def _recorded(args, *names) -> dict:
-    """Manifest entries: the subcommand and the named arguments' values."""
-    return {"command": args.command, **{name: getattr(args, name) for name in names}}
+def _manifest(args, cfg=None, **facts) -> dict:
+    """A run's record: its command and every option but --out-dir, then ``facts``. Given ``cfg``,
+    its training options give way to ``config``: their and the problem's values in ``cfg``."""
+    options = {key: value for key, value in vars(args).items() if key not in {"func", "out_dir"}}
+    if cfg is not None:
+        options = {key: value for key, value in options.items() if key not in _TRAIN_KEYS}
+        options["config"] = {key: cfg[key] for key in ("problem", *vars(args)) if key in cfg}
+    return {**options, **facts}
 
 
 def _has_type(kind, value) -> bool:
     return not isinstance(value, bool) and isinstance(value, _ACCEPTS[kind][0])
 
 
-def _check_value(key: str, value) -> None:
-    """ConfigError unless ``value`` has the type and choices of training key ``key``."""
+def _checked(key: str, value):
+    """``value`` as training key ``key``'s type; ConfigError unless it has that type and choices."""
     default, spec = _TRAIN_KEYS[key]
     kind, choices = spec.get("type", str), spec.get("choices")
     if "nargs" in spec:
@@ -124,6 +131,9 @@ def _check_value(key: str, value) -> None:
             _has_type(kind, value) and (choices is None or value in choices))
     if not ok:
         raise ConfigError(f"{key}: expected {expected}, got {value!r}")
+    if "nargs" in spec:
+        return [kind(v) for v in value]
+    return None if value is None else kind(value)
 
 
 def _load_config_file(path) -> dict:
@@ -147,12 +157,11 @@ def _train_config(*overrides: dict) -> dict:
         cfg.update(layer)
     if "problem" not in cfg:
         raise ConfigError("problem: missing (flag --problem or config key)")
-    _check_value("problem", cfg["problem"])
+    _checked("problem", cfg["problem"])
     for key, value in _PROBLEM_DEFAULTS[cfg["problem"]].items():
         cfg.setdefault(key, value)
     cfg.setdefault("dataset_seed", cfg["seed"])
-    for key, value in cfg.items():
-        _check_value(key, value)
+    cfg = {key: _checked(key, value) for key, value in cfg.items()}
     for key, least in _TRAIN_MINIMUMS.items():
         if cfg[key] < least:
             raise ConfigError(f"{key}: must be >= {least}, got {cfg[key]}")
@@ -162,11 +171,9 @@ def _train_config(*overrides: dict) -> dict:
 
 def _training_objects(cfg: dict):
     """The noise spec, pair policy and optimizer settings of a config."""
-    policy = dataset.PairPolicy(float(cfg["min_gap"]))
-    clip = None if cfg["clip_bound"] is None else float(cfg["clip_bound"])
-    train_cfg = mlp.TrainConfig(int(cfg["epochs"]), float(cfg["learning_rate"]),
-                                int(cfg["batch_size"]), int(cfg["seed"]), clip)
-    return dataset.NoiseSpec(cfg["noise_level"]), policy, train_cfg
+    train_cfg = mlp.TrainConfig(cfg["epochs"], cfg["learning_rate"], cfg["batch_size"],
+                                cfg["seed"], cfg["clip_bound"])
+    return dataset.NoiseSpec(cfg["noise_level"]), dataset.PairPolicy(cfg["min_gap"]), train_cfg
 
 
 def _run_training(cfg: dict) -> tuple[dem.Corrector, list[float]]:
@@ -177,7 +184,7 @@ def _run_training(cfg: dict) -> tuple[dem.Corrector, list[float]]:
                                                noise, cfg["dataset_seed"])
     method = BASE_METHODS[cfg["target"]]
     inputs, targets = dataset.build_pairs(problem, measurements, policy, method)
-    widths = [problem.dim + 2] + [cfg["hidden_width"]] * cfg["hidden_layers"] + [problem.dim]
+    widths = [inputs.shape[1], *[cfg["hidden_width"]] * cfg["hidden_layers"], targets.shape[1]]
     params, losses = mlp.train(inputs, targets, widths, train_cfg)
     return dem.Corrector.network(params, method.exponent), losses
 
@@ -232,12 +239,11 @@ def _method_stepper(name: str, problem, checkpoint, oracle: bool = False):
 
 def cmd_train(args) -> int:
     # Every config key has a flag of the same name, and the flags override the file.
-    cfg = _train_config(_load_config_file(args.config) if args.config else {},
-                        _given(args, *_TRAIN_KEYS))
+    cfg = _train_config(_load_config_file(args.config) if args.config else {}, _given(args))
     corrector, losses = _run_training(cfg)
     params = corrector.params
     loss_csv = _csv(["epoch", "mean_loss"], list(enumerate(losses, 1)))
-    manifest = {**_recorded(args), "config": cfg, "network_widths": list(params.layer_widths)}
+    manifest = _manifest(args, cfg, network_widths=list(params.layer_widths))
     files = {"model": ("model.bin", mlp.save_model(params)), "loss_csv": ("loss.csv", loss_csv)}
     return _write_artifacts(args.out_dir, manifest, files, f"trained {cfg['problem']} "
                             f"({cfg['target']} target), final loss {losses[-1]:.6g}")
@@ -262,8 +268,7 @@ def cmd_solve(args) -> int:
         header.append("n_minus_r")
         columns.append(np.append(gaps, np.nan)[:, None])  # value at the step's left endpoint
 
-    manifest = {**_recorded(args, "problem", "method", "h", "checkpoint"),
-                "interval": list(problem.domain)}
+    manifest = _manifest(args, interval=list(problem.domain))
     files = {"trajectory": ("trajectory.csv", _csv(header, np.hstack(columns)))}
     return _write_artifacts(args.out_dir, manifest, files, f"solved {args.problem} with "
                             f"{args.method}, {len(trajectory)} mesh points")
@@ -280,15 +285,14 @@ def _example1_schedules(h_list, regions) -> list[StepSchedule]:
 
 def _train_then_evaluate(args, variants, evaluate):
     """Train an example1 corrector per variant (output key -> config overrides) after checking
-    every config and h; returns evaluate's rows for each h, the model files and shared settings."""
-    keys = ("points", "epochs", "seed", "dataset_seed")
-    cfgs = [_train_config({"problem": _EX1.name}, _given(args, *keys), extra)
+    every config and h; returns evaluate's rows for each h, the model files and the first config."""
+    cfgs = [_train_config({"problem": _EX1.name}, _given(args), extra)
             for extra in variants.values()]
     schedules = _example1_schedules(args.h_list, [_EX1_REGION])
     correctors = list(_train_each(cfgs, list(variants)))
     files = {key: (f"{key}.bin", mlp.save_model(c.params)) for key, c in zip(variants, correctors)}
     rows = [row for h, s in zip(args.h_list, schedules) for row in evaluate(h, s, correctors)]
-    return rows, files, {key: cfgs[0][key] for key in keys}
+    return rows, files, cfgs[0]
 
 
 def cmd_table1(args) -> int:
@@ -303,10 +307,9 @@ def cmd_table1(args) -> int:
         eps = metrics.eps_mean(dem_corr, _EX1, schedule, region=_EX1_REGION)
         return [(h, e_euler, e_heun, e_dem, e_dhm, eps, e_dem / e_euler)]
 
-    rows, models, shared = _train_then_evaluate(args, variants, evaluate)
+    rows, models, cfg = _train_then_evaluate(args, variants, evaluate)
     table = _csv(["h", "euler", "heun", "dem", "dhm", "eps_mean", "ratio_dem_euler"], rows)
-    manifest = {**_recorded(args, "h_list"), "config": {"problem": _EX1.name, **shared},
-                "eps_region": list(_EX1_REGION)}
+    manifest = _manifest(args, cfg, eps_region=list(_EX1_REGION))
     return _write_artifacts(args.out_dir, manifest, {"table": ("table1.csv", table), **models},
                             f"table1 written to {Path(args.out_dir) / 'table1.csv'}")
 
@@ -325,7 +328,7 @@ def cmd_table2(args) -> int:
     # Every spec, cell and h is checked before the first training, a cell at its first seed.
     archs = [(arch, *_parse_arch(arch)) for arch in args.archs]
     cells = [(arch, _train_config({"problem": _EX1.name, "points": points, "hidden_layers": layers,
-                                   "hidden_width": width}, _given(args, "epochs", "seed")))
+                                   "hidden_width": width}, _given(args)))
              for points in args.points_list for arch, layers, width in archs]
     regions = [_EX1_REGION, (_EX1_REGION[1], _EX1.domain[1])]  # train, test
     (schedule,) = _example1_schedules([args.h], regions)
@@ -344,8 +347,7 @@ def cmd_table2(args) -> int:
               f"eps_train={rows[-1][3]:.6g} eps_test={rows[-1][4]:.6g}", file=sys.stderr)
 
     table = _csv(["points", "hidden_layers", "hidden_width", "eps_train", "eps_test"], rows)
-    manifest = {**_recorded(args, "archs", "points_list", "num_seeds", "h"),
-                "epochs": cells[0][1]["epochs"], "base_seed": cells[0][1]["seed"]}
+    manifest = _manifest(args, cells[0][1])
     return _write_artifacts(args.out_dir, manifest, {"table": ("table2.csv", table)},
                             f"table2 written to {Path(args.out_dir) / 'table2.csv'}")
 
@@ -364,8 +366,8 @@ def cmd_table3(args) -> int:
                  metrics.max_abs_error(dem.solve_dem(_EX1, corrector, schedule), _EX1.exact))
                 for level, corrector in zip(args.noise_levels, correctors)]
 
-    rows, models, shared = _train_then_evaluate(args, variants, evaluate)
-    manifest = {**_recorded(args, "noise_levels", "h_list"), **shared}
+    rows, models, cfg = _train_then_evaluate(args, variants, evaluate)
+    manifest = _manifest(args, cfg)
     table = _csv(["h", "delta", "eps_mean", "e_dem"], rows)
     return _write_artifacts(args.out_dir, manifest, {"table": ("table3.csv", table), **models},
                             f"table3 written to {Path(args.out_dir) / 'table3.csv'}")
@@ -379,8 +381,7 @@ def cmd_convergence(args) -> int:
     rows = [(h, err, estimate.order, estimate.degenerate)
             for h, err in zip(estimate.h_values, estimate.errors)]
     table = _csv(["h", "max_error", "fitted_order", "degenerate"], rows)
-    manifest = _recorded(args, "problem", "method", "oracle", "h_list", "checkpoint")
-    return _write_artifacts(args.out_dir, manifest, {"table": ("convergence.csv", table)},
+    return _write_artifacts(args.out_dir, _manifest(args), {"table": ("convergence.csv", table)},
                             f"fitted order {estimate.order:.4g} (degenerate={estimate.degenerate})")
 
 
@@ -401,8 +402,7 @@ def cmd_stability(args) -> int:
     else:
         corrector, label = dem.Corrector.zero(EULER.exponent), "zero"
     results = metrics.stability_scan(args.lam, corrector, args.h_grid, args.steps, args.bound)
-    manifest = {**_recorded(args, "lam", "h_grid", "checkpoint", "steps", "bound"),
-                "corrector": label}
+    manifest = _manifest(args, corrector=label)
     table = _csv(["h", "bounded"], results)
     return _write_artifacts(args.out_dir, manifest, {"table": ("stability.csv", table)},
                             f"stability scan written to {Path(args.out_dir) / 'stability.csv'}")

@@ -75,6 +75,12 @@ MUTANTS = [
     Mutant("keep_going_default", "cli.py", "def _train_each(cfgs, labels, keep_going=False):",
            "def _train_each(cfgs, labels, keep_going=True):"),
     Mutant("failed_run_nan", "cli.py", "[np.nan if c is None else", "[0.0 if c is None else"),
+    Mutant("manifest_drops_option", "cli.py", 'key not in {"func", "out_dir"}',
+           'key not in {"func", "out_dir", "clip_ln"}'),
+    Mutant("config_keeps_file_type", "cli.py", "return None if value is None else kind(value)",
+           "return value"),
+    Mutant("config_drops_table_option", "cli.py", 'for key in ("problem", *vars(args))',
+           'for key in ("problem",)'),
 ]
 
 

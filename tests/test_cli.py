@@ -440,7 +440,7 @@ class TestTables:
             assert run("table3", "--out-dir", out, "--noise-levels", 0.0, "--h-list", 1.0,
                        "--points", 10, "--epochs", 1, *extra) == 0
             manifests.append(read_manifest(out))
-        assert [m["dataset_seed"] for m in manifests] == [0, 7]
+        assert [m["config"]["dataset_seed"] for m in manifests] == [0, 7]
         assert manifests[0]["outputs"]["model_noise_0"] == "model_noise_0.bin"
 
     def test_table3_noise_grid(self, tmp_path):
@@ -520,22 +520,59 @@ TINY_RUNS = {
                     "--h-list", 0.4, 0.2, 0.1],
     "stability": ["stability", "--h-grid", 0.3, 0.5, 0.9, "--checkpoint", CHECKPOINT],
 }
+# TINY_RUNS and three runs whose manifests once fell short of replaying them: one
+# recorded --clip-ln only in its corrector label, one a seed no option reads, and one
+# a config file's JSON integer for a float key.
+CONFIG_FILE = "{config}"  # replaced by a file holding REPLAY_CONFIG
+REPLAY_CONFIG = {"problem": "example1", "points": 25, "epochs": 1, "hidden_layers": 2,
+                 "hidden_width": 8, "min_gap": 0, "clip_bound": 2}
+REPLAY_RUNS = {
+    **TINY_RUNS,
+    "stability_clip_ln": ["stability", "--clip-ln", 6, "--h-grid", 0.8, 0.9],
+    "table2_seed": ["table2", "--archs", "2x8", "--points-list", 10, "--num-seeds", 1,
+                    "--epochs", 1, "--seed", 4],
+    "train_config_file": ["train", "--config", CONFIG_FILE],
+}
+
+
+def replay_argv(manifest: dict) -> list:
+    """The argv a manifest records: its command, then every option its subcommand declares
+    except --config and --out-dir, a training option's value read from ``config``."""
+    recorded = {**manifest, **manifest.get("config", {})}
+    argv = [manifest["command"]]
+    for option in cli._COMMANDS[manifest["command"]][1]:
+        flag = option if isinstance(option, str) else option[0]
+        if flag in ("--config", "--out-dir"):
+            continue
+        value = recorded[flag[2:].replace("-", "_")]
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv += [flag, *value]
+        elif value is not None and value is not False:
+            argv.append(f"{flag}={value}")  # argparse reads "--lam -1e-05" as a missing value
+    return argv
+
+
+def files_in(out_dir) -> dict:
+    return {path.name: path.read_bytes() for path in out_dir.iterdir()}
 
 
 class TestArtifacts:
-    """Every subcommand writes the same bytes on a repeat run, and its
-    manifest's outputs name exactly the files it wrote."""
+    """Every subcommand writes the same bytes on a repeat run of the options its
+    manifest records, and its manifest's outputs name exactly the files it wrote."""
 
-    @pytest.mark.parametrize("command", sorted(TINY_RUNS))
-    def test_repeat_run_and_outputs_map(self, tmp_path, command):
-        runs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            assert run(*TINY_RUNS[command], "--out-dir", out) == 0
-            runs.append({path.name: path.read_bytes() for path in out.iterdir()})
-        assert runs[0] == runs[1]
-        outputs = strict_json(runs[0]["manifest.json"])["outputs"]
-        assert sorted(outputs.values()) == sorted(set(runs[0]) - {"manifest.json"})
+    @pytest.mark.parametrize("name", sorted(REPLAY_RUNS))
+    def test_repeat_run_and_outputs_map(self, tmp_path, name):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(REPLAY_CONFIG))
+        argv = [config if arg == CONFIG_FILE else arg for arg in REPLAY_RUNS[name]]
+        assert run(*argv, "--out-dir", tmp_path / "a") == 0
+        assert run(*replay_argv(read_manifest(tmp_path / "a")), "--out-dir", tmp_path / "b") == 0
+        files = files_in(tmp_path / "a")
+        assert files_in(tmp_path / "b") == files
+        outputs = strict_json(files["manifest.json"])["outputs"]
+        assert sorted(outputs.values()) == sorted(set(files) - {"manifest.json"})
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_manifest_value_is_refused_before_any_write(self, tmp_path, value):

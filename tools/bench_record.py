@@ -12,13 +12,17 @@ workload, BENCH_<pr>.json holds each run's correct, failed and attempted
 counts and metrics, and each metric's median and quartiles over the runs
 (``statistics.quantiles``, inclusive method). It also holds the ``# env``
 record of the first run, ``git rev-parse HEAD`` and whether the tree had
-uncommitted changes, and two wall times, each the median of 3 runs with BLAS
-and OpenMP at one thread: the Tier-1 suite, and a 50-epoch example1
-``dem train`` at its defaults. Standard library only.
+uncommitted changes; if it had, also the sha256 of ``git diff --binary HEAD``
+and the ``git status --porcelain`` lines, which together name the tree that
+was measured (an untracked file appears in the status lines only). Last come
+two wall times, each the median of 3 runs with BLAS and OpenMP at one thread:
+the Tier-1 suite, and a 50-epoch example1 ``dem train`` at its defaults.
+Standard library only.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import statistics
@@ -87,15 +91,21 @@ def main(argv) -> int:
         return 2
     pr = int(argv[0])
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    status = run(["git", "status", "--porcelain"]).stdout.splitlines()
     record = {
         "pr": pr,
         "git_head": run(["git", "rev-parse", "HEAD"]).stdout.strip(),
-        "uncommitted_changes": bool(run(["git", "status", "--porcelain"]).stdout.strip()),
+        "uncommitted_changes": bool(status),
         "bench_command": f"python3 bench/run.py --workload W --seed S "
                          f"--seconds {bench['run_seconds']} --trace 0",
         "seeds": list(SEEDS),
         "workloads": {},
     }
+    if status:
+        diff = subprocess.run(["git", "diff", "--binary", "HEAD"], cwd=ROOT, capture_output=True,
+                              check=True).stdout
+        record["uncommitted_diff_sha256"] = hashlib.sha256(diff).hexdigest()
+        record["uncommitted_status"] = status
     for workload in bench["workloads"]:
         record["workloads"][workload["name"]], env = bench_runs(workload["name"],
                                                                 bench["run_seconds"])
