@@ -7,9 +7,9 @@ command with the options its manifest records, numpy/BLAS build and BLAS thread 
 reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 2 configuration error (ConfigError; a size too large
-to allocate among them), 3 dimension/shape error (ShapeError), 4 numerical
-failure (NumericalError); each error class carries its own code, and the
-error line is its message.
+to allocate, or an integer too large for the machine, among them), 3
+dimension/shape error (ShapeError), 4 numerical failure (NumericalError); each
+error class carries its own code, and the error line is its message.
 """
 
 from __future__ import annotations
@@ -388,23 +388,18 @@ def cmd_convergence(args) -> int:
 def cmd_stability(args) -> int:
     if args.clip_ln is not None:
         _unread_checkpoint(args.checkpoint, "with --clip-ln")
-        # Linear single-layer corrector whose Lipschitz bound equals clip_ln,
-        # produced by clipping an over-scaled row.
-        row = 2.0 * args.clip_ln
-        if not 0.0 < row < np.inf:
-            raise ConfigError(f"clip_ln: must be in (0, {np.finfo(float).max / 2:.4g}], "
-                              f"got {args.clip_ln}")
-        raw = mlp.MlpParams((3, 1), (np.array([[0.0, 0.0, row]]),), (np.zeros(1),))
-        corrector = dem.Corrector.network(mlp.clip_weights(raw, args.clip_ln), EULER.exponent)
-        label = f"clip_ln={args.clip_ln}"
+        if not 0.0 < args.clip_ln < np.inf:
+            raise ConfigError(f"clip_ln: must be in (0, inf), got {args.clip_ln}")
+        # The linear corrector N = c*y: one layer, whose Lipschitz bound is c.
+        row = mlp.MlpParams((3, 1), (np.array([[0.0, 0.0, args.clip_ln]]),), (np.zeros(1),))
+        corrector = dem.Corrector.network(row, EULER.exponent)
     elif args.checkpoint is not None:
-        corrector, label = _network_corrector(EULER, args.checkpoint), "checkpoint"
+        corrector = _network_corrector(EULER, args.checkpoint)
     else:
-        corrector, label = dem.Corrector.zero(EULER.exponent), "zero"
+        corrector = dem.Corrector.zero(EULER.exponent)
     results = metrics.stability_scan(args.lam, corrector, args.h_grid, args.steps, args.bound)
-    manifest = _manifest(args, corrector=label)
     table = _csv(["h", "bounded"], results)
-    return _write_artifacts(args.out_dir, manifest, {"table": ("stability.csv", table)},
+    return _write_artifacts(args.out_dir, _manifest(args), {"table": ("stability.csv", table)},
                             f"stability scan written to {Path(args.out_dir) / 'stability.csv'}")
 
 
@@ -458,7 +453,7 @@ _COMMANDS = {
         ("--lam", {"type": float, "default": -5.0}),
         ("--h-grid", {"type": float, "nargs": "+", **_REQUIRED}),
         ("--clip-ln", {"type": float,
-                       "help": "use a linear corrector clipped to this Lipschitz bound"}),
+                       "help": "use the linear corrector N = c*y, whose Lipschitz bound is c"}),
         "--checkpoint",
         ("--steps", {"type": int, "default": _default(metrics.stability_scan, "steps")}),
         ("--bound", {"type": float, "default": _default(metrics.stability_scan, "bound")}),
@@ -487,8 +482,9 @@ def main(argv=None) -> int:
         return args.func(args)
     # ValueError: an argument argparse accepts but the library rejects, such
     # as a step size or interval out of range. OSError: an unreadable file.
-    # MemoryError: a size too large to allocate. All are configuration errors.
-    except (DeepEulerError, ValueError, OSError, MemoryError) as err:
+    # MemoryError: a size too large to allocate. OverflowError: an integer too
+    # large for a float or an index. All are configuration errors.
+    except (DeepEulerError, ValueError, OSError, MemoryError, OverflowError) as err:
         print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return err.exit_code if isinstance(err, DeepEulerError) else DeepEulerError.exit_code
 

@@ -81,6 +81,7 @@ MUTANTS = [
            "return value"),
     Mutant("config_drops_table_option", "cli.py", 'for key in ("problem", *vars(args))',
            'for key in ("problem",)'),
+    Mutant("clip_ln_row", "cli.py", "[[0.0, 0.0, args.clip_ln]]", "[[0.0, args.clip_ln, 0.0]]"),
 ]
 
 

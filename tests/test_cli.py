@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deep_euler import cli, dataset, mlp
+from deep_euler import cli, dataset, metrics, mlp
 from deep_euler.cli import main
+from deep_euler.dem import Corrector
 from deep_euler.errors import DeepEulerError, NumericalError
 from deep_euler.ode import HEUN, get_problem
 
@@ -132,9 +133,10 @@ class TestTrain:
         "config",
         [{"problem": ["x"]}, {"problem": "example1", "interval": [0, "5"]},
          {"problem": "example1", "min_gap": float("nan")}, None, ["example1"],
-         {"problem": "example1", "points": 3, "epochs": 1, "clip_bound": float("inf")}],
+         {"problem": "example1", "points": 3, "epochs": 1, "clip_bound": float("inf")},
+         {"problem": "example1", "learning_rate": 10**309}],
         ids=["problem_list", "interval_string", "min_gap_nan", "missing_file", "json_array",
-             "clip_bound_infinity"],
+             "clip_bound_infinity", "learning_rate_past_float"],
     )
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
@@ -495,7 +497,7 @@ class TestStabilityCommand:
         assert run("stability", "--h-grid", 0.3, "--out-dir", out, *extra) == 0
         manifest = read_manifest(out)
         assert manifest["checkpoint"] == (None if checkpoint is None else str(checkpoint))
-        assert manifest["corrector"] == ("zero" if checkpoint is None else "checkpoint")
+        assert manifest["clip_ln"] is None and "corrector" not in manifest
 
     def test_clipped_linear_corrector_boundary(self, tmp_path):
         out = tmp_path / "stab"
@@ -503,6 +505,33 @@ class TestStabilityCommand:
                    "--h-grid", 0.8, 0.9, "--out-dir", out) == 0
         _, rows = read_csv(out / "stability.csv")
         assert rows[0, 1] == 1 and rows[1, 1] == 0
+
+    @pytest.mark.parametrize("clip_ln", [6.0, 1.0, 1e-301, 5e-324, 8.98e307])
+    def test_clip_ln_is_the_clipped_row(self, tmp_path, clip_ln):
+        # N = c*y flags each h as a row of twice the bound clipped back to it does.
+        out, grid = tmp_path / "stab", [0.1, 0.5, 1.0]
+        assert run("stability", "--clip-ln", clip_ln, "--h-grid", *grid, "--out-dir", out) == 0
+        raw = mlp.MlpParams((3, 1), (np.array([[0.0, 0.0, 2.0 * clip_ln]]),), (np.zeros(1),))
+        corrector = Corrector.network(mlp.clip_weights(raw, clip_ln), 2)
+        expected = metrics.stability_scan(-5.0, corrector, grid)
+        assert (out / "stability.csv").read_bytes() == cli._csv(["h", "bounded"], expected)
+
+    def test_largest_clip_ln_is_unbounded(self, tmp_path):
+        # c = 1e308 is in range; one step of h = 0.1 already overflows the state.
+        out = tmp_path / "stab"
+        assert run("stability", "--clip-ln", 1e308, "--h-grid", 0.1, "--out-dir", out) == 0
+        _, rows = read_csv(out / "stability.csv")
+        assert rows.tolist() == [[0.1, 0.0]]
+        row = mlp.MlpParams((3, 1), (np.array([[0.0, 0.0, 1e308]]),), (np.zeros(1),))
+        assert metrics.stability_scan(-5.0, Corrector.network(row, 2), [0.1]) == [(0.1, False)]
+
+    @pytest.mark.parametrize("clip_ln", ["0", "-1", "nan", "inf"])
+    def test_clip_ln_out_of_range_exits_2(self, tmp_path, capsys, clip_ln):
+        out = tmp_path / "stab"
+        assert run("stability", "--h-grid", 0.1, f"--clip-ln={clip_ln}", "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: clip_ln: must be in (0, inf), got {float(clip_ln)}\n"
+        assert not out.exists()
 
 
 # One tiny run of each subcommand.
@@ -610,7 +639,6 @@ class TestRejectedArguments:
              "--h-list", 0.4, 0, 0.1],
             ["stability", "--h-grid", 0.1, "--clip-ln", "inf"],
             ["stability", "--h-grid", 0.1, "--clip-ln", "nan"],
-            ["stability", "--h-grid", 0.1, "--clip-ln", 1e308],
             ["train", "--problem", "example1", "--points", 10, "--epochs", 1,
              "--min-gap", "nan"],
             ["solve", "--problem", "example1", "--method", "euler", "--h", 1,
@@ -635,16 +663,21 @@ class TestRejectedArguments:
             ["stability", "--h-grid", 0.1, "--bound", "inf"],
             ["train", "--problem", "example1", "--points", 3, "--epochs", 1,
              "--clip-bound", "inf"],
+            ["train", "--problem", "example1", "--points", 10, "--epochs", 1,
+             "--hidden-layers=10000000000000000000"],
+            ["table2", "--archs", "10000000000000000000x8", "--points-list", 10,
+             "--num-seeds", 1, "--epochs", 1],
         ],
         ids=["h_zero", "h_longer_than_domain", "reversed_interval", "positive_lam",
              "missing_checkpoint", "two_h_values", "zero_seeds", "negative_steps",
              "zero_bound", "oracle_euler", "oracle_heun", "one_point", "negative_seed",
-             "zero_h_in_list", "infinite_clip_ln", "nan_clip_ln", "clip_ln_row_overflows",
+             "zero_h_in_list", "infinite_clip_ln", "nan_clip_ln",
              "nan_min_gap", "checkpoint_unread_by_euler", "checkpoint_unread_by_heun",
              "checkpoint_unread_with_oracle", "checkpoint_unread_with_clip_ln",
              "infinite_h_grid_zero", "infinite_h_grid_checkpoint",
              "zero_h_before_checkpoint_shape", "long_h_before_checkpoint_shape",
-             "tiny_h", "tiny_h_list", "infinite_lam", "infinite_bound", "infinite_clip_bound"],
+             "tiny_h", "tiny_h_list", "infinite_lam", "infinite_bound", "infinite_clip_bound",
+             "hidden_layers_past_index", "arch_layers_past_index"],
     )
     def test_exits_2(self, tmp_path, capsys, argv):
         argv = [str(a).format(missing=tmp_path / "missing.bin") for a in argv]

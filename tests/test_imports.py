@@ -93,6 +93,8 @@ PACKAGE = ROOT / "src" / "deep_euler"
 UNCALLED_PUBLIC = {
     "stack_samples": "tests/test_acceptance.py trains on the build_pairs arrays through it",
     "lipschitz_bound": "tests/test_acceptance.py checks a clipped network's bound with it",
+    "clip_weights": "tests/test_acceptance.py clips a network with it, and bench/workloads.py "
+                    "its kepler net",
     "PairPolicy.all_pairs": "tests/test_acceptance.py builds the example1 pairs with it",
     "euler_step": "tests/test_acceptance.py and bench/workloads.py solve with it; "
                   "the package calls EULER.step",
